@@ -14,21 +14,14 @@ invariants under the same knobs.
 
 from conftest import run_once, save_result
 
-from repro.bench.batching import (
-    batching_table,
-    headline,
-    peak_speedup,
-    peak_throughputs,
-    run_batching,
-)
+from repro.bench.batching import BENCH, peak_speedup, peak_throughputs
+from repro.bench.driver import default_params, render, run_grid
 
 
 def test_batching_throughput_scaling(benchmark):
-    points = run_once(benchmark, run_batching)
-    save_result(
-        "batching_all_protocols",
-        batching_table(points) + "\n\n" + headline(points),
-    )
+    params = default_params(BENCH)
+    points = run_once(benchmark, lambda: run_grid(BENCH, params))
+    save_result("batching_all_protocols", render(BENCH, params, points))
     # WbCast throughput grows monotonically with the batch size at every
     # step of the default grid, and the headline speedup clears the 2x bar.
     peaks = peak_throughputs(points, protocol="wbcast")

@@ -1,13 +1,13 @@
 """Benchmark harness reproducing the paper's evaluation (Section VI).
 
-* :mod:`repro.bench.harness` — build-and-run one workload configuration;
+* :mod:`repro.bench.harness` — stand up one simulated cluster
+  (:class:`~repro.bench.harness.SimCluster`) and run one workload on it;
+* :mod:`repro.bench.driver` — the declarative bench spec, the generic
+  sweep driver, and the registry of benches (``BENCH_MODULES``; ``python
+  -m repro --help`` lists them);
 * :mod:`repro.bench.topologies` — the paper's LAN and WAN testbeds;
-* :mod:`repro.bench.metrics` — latency/throughput summaries;
-* :mod:`repro.bench.latency_table` — the δ-unit latency table (Thms 3–4);
-* :mod:`repro.bench.convoy` — the Fig. 2 convoy-effect scenario;
-* :mod:`repro.bench.figure7` / :mod:`repro.bench.figure8` — the LAN / WAN
-  client sweeps of Figs. 7 and 8;
-* :mod:`repro.bench.report` — ASCII tables for terminal output.
+* :mod:`repro.bench.metrics` / :mod:`repro.bench.report` — latency
+  summaries and ASCII tables shared by every bench.
 """
 
 from .harness import RunResult, run_workload

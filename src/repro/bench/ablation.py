@@ -21,15 +21,11 @@ from typing import List
 from ..config import ClusterConfig
 from ..protocols import SequencerProcess, WbCastProcess
 from ..protocols.wbcast import WbCastOptions
-from ..sim import ConstantDelay, Simulator, Trace, UniformCpu
-from ..workload import (
-    ClientOptions,
-    DeliveryTracker,
-    DisjointPairs,
-    OneShotClient,
-)
+from ..sim import ConstantDelay, UniformCpu
+from ..workload import ClientOptions, DisjointPairs
+from .driver import BenchSpec
 from .harness import run_workload
-from .latency_table import DELTA, _FastLink
+from .latency_table import DELTA, measure_ffl
 from .metrics import summarize_latencies
 from .report import render_table
 
@@ -44,40 +40,7 @@ def measure_ffl_with_options(
     step: float = 0.25,
 ) -> float:
     """measure_ffl specialised to WbCast with explicit options."""
-    from ..workload import ClientOptions as CO
-    from .latency_table import _build
-
-    worst = 0.0
-    t0 = 20 * delta
-    warmup = [(i * delta, (1,)) for i in range(5)]
-    offsets = [delta * step * i for i in range(int(sweep_to / step) + 1)]
-    for tau in offsets:
-        config = ClusterConfig.build(2, 3, 3)
-        network = _FastLink(delta, config.clients[2], 0, eps=delta / 1000)
-        trace = Trace()
-        sim = Simulator(network, seed=0, trace=trace)
-        tracker = DeliveryTracker(config, sim=sim)
-        trace.attach(tracker)
-        for pid in config.all_members:
-            sim.add_process(
-                pid, lambda rt, p=pid: WbCastProcess(p, config, rt, options=options)
-            )
-        schedules = [warmup, [(t0, (0, 1))], [(t0 + tau, (0, 1))]]
-        clients = []
-        for pid, schedule in zip(config.clients, schedules):
-            clients.append(
-                sim.add_process(
-                    pid,
-                    lambda rt, p=pid, s=schedule: OneShotClient(
-                        p, config, rt, WbCastProcess, tracker, s, CO()
-                    ),
-                )
-            )
-        sim.run()
-        latency = tracker.latency(clients[1].sent[0])
-        if latency is not None and latency > worst:
-            worst = latency
-    return worst / delta
+    return measure_ffl(WbCastProcess, delta, sweep_to, step, options=options)
 
 
 def speculation_table() -> str:
@@ -167,10 +130,6 @@ def group_size_latency(sizes=(3, 5, 7)) -> List[tuple]:
     """Collision-free leader latency as the replication degree grows."""
     rows = []
     for size in sizes:
-
-        class _Sized(WbCastProcess):
-            pass
-
         config = ClusterConfig.build(2, size, 1)
         # measure via harness for uniformity
         result = run_workload(
@@ -194,13 +153,19 @@ def group_size_table(rows) -> str:
     )
 
 
-def main() -> None:
-    print(speculation_table())
-    print()
-    print(genuineness_table(genuineness_scaling()))
-    print()
-    print(group_size_table(group_size_latency()))
+def run_all(_params=None, _cell=None) -> str:
+    return "\n\n".join(
+        [
+            speculation_table(),
+            genuineness_table(genuineness_scaling()),
+            group_size_table(group_size_latency()),
+        ]
+    )
 
 
-if __name__ == "__main__":
-    main()
+BENCH = BenchSpec(
+    name="ablations",
+    help="speculation / genuineness / group-size ablations",
+    run_cell=run_all,
+    report=lambda _params, results: results[0],
+)

@@ -13,10 +13,9 @@ only varying factors are the batching knobs.
 Acceptance bars: batched WbCast ≥2x its per-message peak at batch 16;
 batched FtSkeen and FastCast ≥1.5x theirs.
 
-Run ``python -m repro.bench.batching`` (or ``python -m repro
-bench-batching``) for the default grid.  ``--protocol`` narrows the
-protocol axis, ``--linger-mode adaptive``/``both`` adds the adaptive
-linger axis, ``--ingress-batch 1,16`` adds the client-side ingress
+Run ``python -m repro bench-batching`` for the default grid.
+``--protocol`` narrows the protocol axis, ``--linger-mode
+adaptive``/``both`` adds the adaptive linger axis, ``--ingress-batch 1,16`` adds the client-side ingress
 coalescing axis (AmcastClient sessions batching their submissions per
 destination leader — the remaining per-message saturation term after the
 leader-side batching of PRs 1–2), ``--client-window`` widens the
@@ -27,35 +26,43 @@ enables the paper-scale grid.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass, replace
-from dataclasses import replace as dataclass_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import BatchingOptions
+from ..placement import PlacementPolicy, lane_timings
 from ..protocols import BATCHING_PROTOCOLS, PROTOCOLS
-from .report import render_table
-from .sweep import DEFAULT_CPU_COST, SweepConfig, full_sweep_enabled
+from ..protocols.wbcast import WbCastOptions
+from ..sim.network import WAN_ONE_WAY
+from .driver import (
+    BenchSpec,
+    int_list,
+    option,
+    positive_int,
+)
+from .sweep import DEFAULT_CPU_COST, SweepPoint
 from .sweep import run_point as sweep_run_point
-from .topologies import LAN_ONE_WAY, lan_testbed
+from .topologies import (
+    LAN_ONE_WAY,
+    WAN_MAX_LINGER,
+    lan_testbed,
+    wan_site_map,
+    wan_testbed,
+)
 
 #: Batch sizes swept by default; 1 is the paper's per-message protocol.
 BATCH_SIZES = (1, 2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
-class BatchingPoint:
-    """One (protocol, linger mode, batch, ingress, shards, clients) point."""
+class BatchingPoint(SweepPoint):
+    """One (protocol, linger mode, batch, ingress, shards, clients) point:
+    the sweep measurement (``protocol`` holding the registry name) plus
+    the knobs it ran under."""
 
-    protocol: str
-    linger_mode: str
-    batch: int
-    ingress: int
-    clients: int
-    throughput: float
-    mean_latency: float
-    p95_latency: float
-    completed: int
+    linger_mode: str = "-"
+    batch: int = 1
+    ingress: int = 1
     #: Ordering lanes per group (sharded multi-leader groups; 1 = paper).
     shards: int = 1
     #: Lane/leader placement policy: "flat" (topology-blind deal) or
@@ -64,45 +71,86 @@ class BatchingPoint:
     #: Delivery ordering granularity this cell ran under ("total" or
     #: "keys"; non-WbCast protocols always record "total").
     conflict: str = "total"
-    #: SUBMIT_ACK-driven latency split: launch→acked and acked→delivered.
-    mean_ack_latency: float = float("nan")
-    mean_post_ack_latency: float = float("nan")
 
 
-@dataclass
-class BatchingSweepConfig:
-    protocols: Sequence[str] = BATCHING_PROTOCOLS
-    linger_modes: Sequence[str] = ("fixed",)
-    batch_sizes: Sequence[int] = BATCH_SIZES
+@dataclass(frozen=True)
+class BatchingParams:
+    """The ablation's grid; fields built with ``option`` are its flags."""
+
+    protocols: Tuple[str, ...] = option(
+        BATCHING_PROTOCOLS,
+        "--protocol",
+        choices=(*BATCHING_PROTOCOLS, "all"),
+        default="all",
+        convert=lambda v: (v,),
+        help="protocol axis (default: all batching-capable protocols)",
+    )
+    linger_modes: Tuple[str, ...] = option(
+        ("fixed",),
+        "--linger-mode",
+        choices=("fixed", "adaptive", "both"),
+        default="fixed",
+        convert=lambda v: ("fixed", "adaptive") if v == "both" else (v,),
+        help="linger mode axis: fixed max_linger, adaptive (EWMA of "
+        "inter-arrival times, bounded by min/max linger), or both",
+    )
     #: Client-side ingress coalescing axis (1 = one MULTICAST per message,
     #: the paper's ingress; >1 lets AmcastClient sessions coalesce
     #: submissions per destination leader, amortising the leader's
     #: per-message ingress CPU — the remaining saturation term after PR 2).
-    ingress_batches: Sequence[int] = (1,)
+    ingress_batches: Tuple[int, ...] = option(
+        (1,),
+        "--ingress-batch",
+        type=int_list,
+        metavar="N[,N...]",
+        help="client-side ingress coalescing axis: AmcastClient batch "
+        "sizes to sweep, e.g. '1,16' (default: 1 — one MULTICAST per "
+        "message, the paper's ingress)",
+    )
+    #: Outstanding multicasts per client; >1 sustains per-leader pressure.
+    client_window: int = option(
+        4,
+        "--client-window",
+        type=positive_int,
+        metavar="N",
+        help="outstanding multicasts per closed-loop client (default: 4; "
+        "raise it to give ingress batches company to coalesce with)",
+    )
     #: Sharded multi-leader axis: ordering lanes per group (1 = the
     #: paper's single leader per group, the saturation term left after
     #: PR 3's ingress batching).
-    shards: Sequence[int] = (1,)
-    client_counts: Sequence[int] = (100, 300)
-    num_groups: int = 6
-    group_size: int = 3
-    dest_k: int = 2
-    messages_per_client: int = 6
-    cpu_cost: float = DEFAULT_CPU_COST
-    cpu_jitter: float = 0.1
-    network_jitter: float = 0.05
-    #: Linger several LAN one-way delays so batches fill under load (0.5 ms
-    #: against a ~5 ms saturated mean latency: cheap for what it buys).
-    max_linger: float = 10 * LAN_ONE_WAY
-    pipeline_depth: int = 4
-    #: Outstanding multicasts per client; >1 sustains per-leader pressure.
-    client_window: int = 4
-    seed: int = 42
-    #: Testbed: ``"lan"`` (Fig. 7 CloudLab analogue) or ``"wan"`` (the
-    #: Fig. 8 three-data-centre analogue) — the WAN axis is what the
-    #: ROADMAP's paper-scale *sharded WAN grid* records: lanes spread the
-    #: per-message leader work even when δ, not CPU, dominates latency.
-    topology: str = "lan"
+    shards: Tuple[int, ...] = option(
+        (1,),
+        "--shards",
+        type=int_list,
+        metavar="N[,N...]",
+        help="sharded multi-leader axis: ordering lanes per group to "
+        "sweep, e.g. '1,4' (default: 1 — the paper's single leader per "
+        "group; applies to protocols with sharding support, today WbCast)",
+    )
+    group_size: int = option(
+        3,
+        "--group-size",
+        type=int,
+        metavar="N",
+        help="members per group (odd, default 3; the sharding ablation "
+        "uses 5 so four lanes deal onto four distinct members)",
+    )
+    client_counts: Tuple[int, ...] = option(
+        (100, 300),
+        "--clients",
+        type=int_list,
+        metavar="N[,N...]",
+        help="client-count axis override (default: 100,300; peaks need "
+        "deeper saturation, e.g. '300,600,1000')",
+    )
+    batch_sizes: Tuple[int, ...] = option(
+        BATCH_SIZES,
+        "--batch-sizes",
+        type=int_list,
+        metavar="N[,N...]",
+        help="batch-size axis override (default: 1,2,4,8,16)",
+    )
     #: Placement axis for the sharded points: "flat" keeps the recorded
     #: topology-blind deal; "site" attaches a site-affine placement
     #: policy (co-located lane leaders, geo-spread clients, tree-overlay
@@ -110,44 +158,78 @@ class BatchingSweepConfig:
     #: (shards=1) points always run flat: with one lane the site deal
     #: degenerates to the legacy one, so a separate row would only
     #: duplicate the baseline.
-    placements: Sequence[str] = ("flat",)
-    #: Adaptive-linger floor threaded into the batching knobs (0 keeps
-    #: the LAN-calibrated default).  On the WAN grid this is derived from
-    #: the delay matrix (:func:`repro.placement.lane_timings`) so the
-    #: adaptive mode cannot flush far below what the network can carry.
-    min_linger: float = 0.0
-    #: Delivery ordering granularity: "total" (the paper) or "keys"
-    #: (conflict-aware delivery — commuting disjoint-key messages skip
-    #: the cross-lane merge wait).  Only WbCast has the conflict layer;
-    #: other protocols in the grid keep running total so the rows stay
-    #: comparable.
-    conflict: str = "total"
-    #: Key-universe size for the synthetic single-key footprints clients
-    #: stamp in keys mode (unfootprinted messages would all be fences).
-    key_universe: int = 64
-
-
-def default_sweep() -> BatchingSweepConfig:
-    if full_sweep_enabled():
-        return BatchingSweepConfig(
-            client_counts=(100, 300, 600, 1000),
-            num_groups=10,
-            messages_per_client=10,
-        )
-    return BatchingSweepConfig()
-
-
-def quick_sweep() -> BatchingSweepConfig:
-    """A CI-smoke grid: per-message vs. one batched point per protocol."""
-    return BatchingSweepConfig(
-        batch_sizes=(1, 8),
-        client_counts=(100,),
-        messages_per_client=4,
+    placements: Tuple[str, ...] = option(
+        ("flat",),
+        "--placement",
+        choices=("flat", "site", "both"),
+        default="flat",
+        convert=lambda v: ("flat", "site") if v == "both" else (v,),
+        help="lane/leader placement axis for sharded WAN points: flat "
+        "(topology-blind deal, the recorded baseline), site (site-affine "
+        "lane leaders + geo-spread clients + tree-overlay dissemination), "
+        "or both (ignored off the WAN / at shards=1)",
     )
+    #: Testbed: ``"lan"`` (Fig. 7 CloudLab analogue) or ``"wan"`` (the
+    #: Fig. 8 three-data-centre analogue) — the WAN axis is what the
+    #: ROADMAP's paper-scale *sharded WAN grid* records: lanes spread the
+    #: per-message leader work even when δ, not CPU, dominates latency.
+    topology: str = option(
+        "lan",
+        "--topology",
+        choices=("lan", "wan"),
+        default="lan",
+        help="testbed: the Fig. 7 LAN (default) or the Fig. 8 "
+        "three-data-centre WAN (sharded WAN grid)",
+    )
+    #: Only WbCast has the conflict layer; other protocols in the grid
+    #: keep running total so the rows stay comparable.
+    conflict: str = option(
+        "total",
+        "--conflict",
+        choices=("total", "keys"),
+        default="total",
+        help="delivery ordering granularity: total (the paper's atomic "
+        "multicast, default) or keys (conflict-aware delivery — commuting "
+        "disjoint-key messages skip the cross-lane merge wait; WbCast "
+        "only, other protocols in the grid keep running total)",
+    )
+    #: Unfootprinted messages would all be fences in keys mode.
+    key_universe: int = option(
+        64,
+        "--key-universe",
+        type=positive_int,
+        metavar="N",
+        help="key universe for the synthetic single-key footprints "
+        "clients stamp in keys mode (default: 64)",
+    )
+    num_groups: int = 6
+    dest_k: int = 2
+    messages_per_client: int = 6
+    cpu_cost: float = DEFAULT_CPU_COST
+    cpu_jitter: float = 0.1
+    network_jitter: float = 0.05
+    pipeline_depth: int = 4
+    seed: int = 42
+
+    @property
+    def max_linger(self) -> float:
+        """Linger several one-way delays so batches fill under load: 0.5 ms
+        against a ~5 ms saturated LAN latency; on the WAN, where one-way
+        delays are ~1000x LAN, the window scales with them."""
+        return WAN_MAX_LINGER if self.topology == "wan" else 10 * LAN_ONE_WAY
+
+    @property
+    def min_linger(self) -> float:
+        """Adaptive-linger floor: 0 keeps the LAN-calibrated default; on
+        the WAN it comes from the delay matrix, so the adaptive mode
+        cannot flush far below what the network can carry."""
+        if self.topology != "wan":
+            return 0.0
+        return lane_timings(WAN_ONE_WAY).min_linger
 
 
 def batching_options(
-    sweep: BatchingSweepConfig, batch: int, linger_mode: str = "fixed"
+    sweep: BatchingParams, batch: int, linger_mode: str = "fixed"
 ) -> BatchingOptions:
     """The knob settings for one swept batch size (1 = batching off)."""
     if batch <= 1:
@@ -162,7 +244,7 @@ def batching_options(
 
 
 def ingress_options(
-    sweep: BatchingSweepConfig, ingress: int
+    sweep: BatchingParams, ingress: int
 ) -> Optional[BatchingOptions]:
     """Client-session coalescing knobs for one swept ingress batch size."""
     if ingress <= 1:
@@ -182,10 +264,6 @@ def wan_protocol_options(protocol: str, placement: str = "flat"):
     """
     if protocol != "wbcast":
         return None
-    from ..placement import lane_timings
-    from ..protocols.wbcast import WbCastOptions
-    from ..sim.network import WAN_ONE_WAY
-
     timings = lane_timings(WAN_ONE_WAY)
     probe = (
         timings.site_probe_delay if placement == "site" else timings.lane_probe_delay
@@ -200,18 +278,15 @@ def _wan_config_hook(placement: str):
     """Config hook attaching the site-affine policy ("site" placement)."""
     if placement != "site":
         return None
-    from ..placement import PlacementPolicy
-    from .topologies import wan_site_map
-
     def hook(config):
         sites = wan_site_map(config)
-        return dataclass_replace(config, placement=PlacementPolicy.site_affine(sites))
+        return replace(config, placement=PlacementPolicy.site_affine(sites))
 
     return hook
 
 
 def run_point(
-    sweep: BatchingSweepConfig,
+    sweep: BatchingParams,
     protocol: str,
     batch: int,
     clients: int,
@@ -226,8 +301,6 @@ def run_point(
     protocol_options = None
     config_hook = None
     if sweep.topology == "wan":
-        from .topologies import wan_site_map, wan_testbed
-
         protocol_options = wan_protocol_options(protocol, placement)
         config_hook = _wan_config_hook(placement)
         # Same network geometry for flat and site placements: only the
@@ -245,53 +318,29 @@ def run_point(
     point = sweep_run_point(
         PROTOCOLS[protocol],
         topology,
-        SweepConfig(
-            num_groups=sweep.num_groups,
-            group_size=sweep.group_size,
-            messages_per_client=sweep.messages_per_client,
-            cpu_cost=sweep.cpu_cost,
-            cpu_jitter=sweep.cpu_jitter,
-            network_jitter=sweep.network_jitter,
-            seed=sweep.seed,
-            batching=batching_options(sweep, batch, linger_mode),
-            client_window=sweep.client_window,
-            ingress=ingress_options(sweep, ingress),
-            shards_per_group=shards,
-            protocol_options=protocol_options,
-            config_hook=config_hook,
-            conflict=conflict,
-            key_universe=sweep.key_universe,
-        ),
-        dest_k=sweep.dest_k,
-        clients=clients,
+        sweep,
+        sweep.dest_k,
+        clients,
+        batching=batching_options(sweep, batch, linger_mode),
+        ingress=ingress_options(sweep, ingress),
+        shards_per_group=shards,
+        protocol_options=protocol_options,
+        config_hook=config_hook,
+        conflict=conflict,
     )
     return BatchingPoint(
-        protocol=protocol,
+        **{**asdict(point), "protocol": protocol},
         linger_mode=linger_mode if batch > 1 else "-",
         batch=batch,
         ingress=ingress,
-        clients=clients,
-        throughput=point.throughput,
-        mean_latency=point.mean_latency,
-        p95_latency=point.p95_latency,
-        completed=point.completed,
         shards=shards,
         placement=placement,
         conflict=conflict,
-        mean_ack_latency=point.mean_ack_latency,
-        mean_post_ack_latency=point.mean_post_ack_latency,
     )
 
 
-def run_batching(
-    sweep: Optional[BatchingSweepConfig] = None,
-    profiler=None,
-) -> List[BatchingPoint]:
-    """Run the grid; ``profiler`` (a :class:`~repro.obs.PhaseProfiler`)
-    attributes CPU per (protocol, batch) phase so hot spots in the
-    simulated protocol path show up with their real stack."""
-    sweep = sweep or default_sweep()
-    points: List[BatchingPoint] = []
+def cells(sweep: BatchingParams) -> Iterator[Tuple]:
+    """The grid in run order: one ``run_point`` argument tuple per cell."""
     for protocol in sweep.protocols:
         sharding = getattr(PROTOCOLS[protocol], "SUPPORTS_SHARDING", False)
         shard_counts = tuple(sweep.shards) if sharding else (1,)
@@ -302,25 +351,16 @@ def run_batching(
                     for shards in shard_counts:
                         # Placement only differentiates sharded points on
                         # the WAN; everything else runs the flat deal once.
-                        if shards > 1 and sharding and sweep.topology == "wan":
+                        if shards > 1 and sweep.topology == "wan":
                             placements = tuple(dict.fromkeys(sweep.placements))
                         else:
                             placements = ("flat",)
                         for placement in placements:
                             for clients in sweep.client_counts:
-                                if profiler is not None:
-                                    with profiler.phase(f"{protocol}/batch{batch}"):
-                                        point = run_point(
-                                            sweep, protocol, batch, clients,
-                                            mode, ingress, shards, placement,
-                                        )
-                                else:
-                                    point = run_point(
-                                        sweep, protocol, batch, clients, mode,
-                                        ingress, shards, placement,
-                                    )
-                                points.append(point)
-    return points
+                                yield (
+                                    protocol, batch, clients, mode,
+                                    ingress, shards, placement,
+                                )
 
 
 def peak_throughputs(
@@ -395,47 +435,28 @@ def peak_speedup(
     return peaks.get(batch, 0.0) / base
 
 
-def batching_table(points: List[BatchingPoint], topology: str = "lan") -> str:
-    testbed = "Fig. 8 WAN" if topology == "wan" else "Fig. 7 LAN"
+def table_title(sweep: BatchingParams, points: List[BatchingPoint]) -> str:
+    testbed = "Fig. 8 WAN" if sweep.topology == "wan" else "Fig. 7 LAN"
     if any(p.conflict == "keys" for p in points):
         testbed += ", conflict=keys"
-    rows = [
-        (
-            p.protocol,
-            p.linger_mode,
-            p.batch,
-            p.ingress,
-            p.shards,
-            p.placement,
-            p.clients,
-            p.throughput,
-            p.mean_latency * 1000,
-            p.mean_ack_latency * 1000,
-            p.mean_post_ack_latency * 1000,
-            p.p95_latency * 1000,
-            p.completed,
-        )
-        for p in points
-    ]
-    return render_table(
-        [
-            "protocol",
-            "linger",
-            "batch",
-            "ingress",
-            "shards",
-            "placement",
-            "clients",
-            "msgs/s",
-            "mean lat (ms)",
-            "ack leg (ms)",
-            "order leg (ms)",
-            "p95 lat (ms)",
-            "completed",
-        ],
-        rows,
-        title=f"Batching ablation — throughput vs batch size per protocol ({testbed})",
-    )
+    return f"Batching ablation — throughput vs batch size per protocol ({testbed})"
+
+
+COLUMNS = (
+    ("protocol", lambda p: p.protocol),
+    ("linger", lambda p: p.linger_mode),
+    ("batch", lambda p: p.batch),
+    ("ingress", lambda p: p.ingress),
+    ("shards", lambda p: p.shards),
+    ("placement", lambda p: p.placement),
+    ("clients", lambda p: p.clients),
+    ("msgs/s", lambda p: p.throughput),
+    ("mean lat (ms)", lambda p: p.mean_latency * 1000),
+    ("ack leg (ms)", lambda p: p.mean_ack_latency * 1000),
+    ("order leg (ms)", lambda p: p.mean_post_ack_latency * 1000),
+    ("p95 lat (ms)", lambda p: p.p95_latency * 1000),
+    ("completed", lambda p: p.completed),
+)
 
 
 def headline(points: List[BatchingPoint]) -> str:
@@ -498,206 +519,25 @@ def headline(points: List[BatchingPoint]) -> str:
     return "\n".join(lines)
 
 
-def _int_list(text: str) -> Tuple[int, ...]:
-    """Parse a comma-separated list of positive ints (e.g. ``1,16``)."""
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be >= 1, got {text!r}")
-    return values
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ablation's options — shared with the ``repro`` CLI subcommand
-    so the two entry points can never drift."""
-    parser.add_argument(
-        "--protocol",
-        choices=(*BATCHING_PROTOCOLS, "all"),
-        default="all",
-        help="protocol axis (default: all batching-capable protocols)",
-    )
-    parser.add_argument(
-        "--linger-mode",
-        choices=("fixed", "adaptive", "both"),
-        default="fixed",
-        help="linger mode axis: fixed max_linger, adaptive (EWMA of "
-        "inter-arrival times, bounded by min/max linger), or both",
-    )
-    parser.add_argument(
-        "--ingress-batch",
-        type=_int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="client-side ingress coalescing axis: AmcastClient batch "
-        "sizes to sweep, e.g. '1,16' (default: 1 — one MULTICAST per "
-        "message, the paper's ingress)",
-    )
-    parser.add_argument(
-        "--client-window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="outstanding multicasts per closed-loop client (default: 4; "
-        "raise it to give ingress batches company to coalesce with)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=_int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="sharded multi-leader axis: ordering lanes per group to "
-        "sweep, e.g. '1,4' (default: 1 — the paper's single leader per "
-        "group; applies to protocols with sharding support, today WbCast)",
-    )
-    parser.add_argument(
-        "--group-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="members per group (odd, default 3; the sharding ablation "
-        "uses 5 so four lanes deal onto four distinct members)",
-    )
-    parser.add_argument(
-        "--clients",
-        type=_int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="client-count axis override (default: 100,300; peaks need "
-        "deeper saturation, e.g. '300,600,1000')",
-    )
-    parser.add_argument(
-        "--batch-sizes",
-        type=_int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="batch-size axis override (default: 1,2,4,8,16)",
-    )
-    parser.add_argument(
-        "--placement",
-        choices=("flat", "site", "both"),
-        default="flat",
-        help="lane/leader placement axis for sharded WAN points: flat "
-        "(topology-blind deal, the recorded baseline), site (site-affine "
-        "lane leaders + geo-spread clients + tree-overlay dissemination), "
-        "or both (ignored off the WAN / at shards=1)",
-    )
-    parser.add_argument(
-        "--topology",
-        choices=("lan", "wan"),
-        default="lan",
-        help="testbed: the Fig. 7 LAN (default) or the Fig. 8 "
-        "three-data-centre WAN (sharded WAN grid)",
-    )
-    parser.add_argument(
-        "--conflict",
-        choices=("total", "keys"),
-        default="total",
-        help="delivery ordering granularity: total (the paper's atomic "
-        "multicast, default) or keys (conflict-aware delivery — commuting "
-        "disjoint-key messages skip the cross-lane merge wait; WbCast "
-        "only, other protocols in the grid keep running total)",
-    )
-    parser.add_argument(
-        "--key-universe",
-        type=int,
-        default=None,
-        metavar="N",
-        help="key universe for the synthetic single-key footprints "
-        "clients stamp in keys mode (default: 64)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke grid (per-message vs one batched point)",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="cProfile each (protocol, batch) phase and print per-phase "
+BENCH = BenchSpec(
+    name="bench-batching",
+    help="batch-size throughput ablation across protocols "
+    "(REPRO_BENCH_FULL=1 for full grid)",
+    params=BatchingParams,
+    # Per-message vs. one batched point per protocol.
+    quick=dict(batch_sizes=(1, 8), client_counts=(100,), messages_per_client=4),
+    full=dict(
+        client_counts=(100, 300, 600, 1000), num_groups=10, messages_per_client=10
+    ),
+    flags=dict(
+        quick="CI smoke grid (per-message vs one batched point)",
+        profile="cProfile each (protocol, batch) phase and print per-phase "
         "CPU attribution ('-' or no value: stdout; FILE: write there)",
-    )
-
-
-def sweep_from_args(args: argparse.Namespace) -> BatchingSweepConfig:
-    sweep = quick_sweep() if args.quick else default_sweep()
-    if args.protocol != "all":
-        sweep = replace(sweep, protocols=(args.protocol,))
-    if args.linger_mode == "both":
-        sweep = replace(sweep, linger_modes=("fixed", "adaptive"))
-    else:
-        sweep = replace(sweep, linger_modes=(args.linger_mode,))
-    if args.ingress_batch is not None:
-        sweep = replace(sweep, ingress_batches=args.ingress_batch)
-    if args.client_window is not None:
-        sweep = replace(sweep, client_window=max(1, args.client_window))
-    if args.shards is not None:
-        sweep = replace(sweep, shards=args.shards)
-    if args.group_size is not None:
-        sweep = replace(sweep, group_size=args.group_size)
-    if args.clients is not None:
-        sweep = replace(sweep, client_counts=args.clients)
-    if args.batch_sizes is not None:
-        sweep = replace(sweep, batch_sizes=args.batch_sizes)
-    if getattr(args, "placement", "flat") == "both":
-        sweep = replace(sweep, placements=("flat", "site"))
-    else:
-        sweep = replace(sweep, placements=(getattr(args, "placement", "flat"),))
-    if getattr(args, "conflict", "total") != "total":
-        sweep = replace(sweep, conflict=args.conflict)
-    if getattr(args, "key_universe", None) is not None:
-        sweep = replace(sweep, key_universe=max(1, args.key_universe))
-    if args.topology != "lan":
-        # WAN: one-way delays are ~1000x LAN, so the linger window that
-        # lets batches fill scales with them (0.5 ms would be invisible
-        # against a 65 ms hop), and the adaptive-linger floor comes from
-        # the delay matrix rather than the LAN calibration.
-        from ..placement import lane_timings
-        from ..sim.network import WAN_ONE_WAY
-        from .topologies import WAN_MAX_LINGER
-
-        sweep = replace(
-            sweep,
-            topology=args.topology,
-            max_linger=WAN_MAX_LINGER,
-            min_linger=lane_timings(WAN_ONE_WAY).min_linger,
-        )
-    return sweep
-
-
-def run_main(args: argparse.Namespace) -> None:
-    """Run the ablation for an already-parsed argument namespace."""
-    sweep = sweep_from_args(args)
-    profiler = None
-    if getattr(args, "profile", None) is not None:
-        from ..obs import PhaseProfiler
-
-        profiler = PhaseProfiler()
-    points = run_batching(sweep, profiler=profiler)
-    print(batching_table(points, topology=sweep.topology))
-    print()
-    print(headline(points))
-    if profiler is not None:
-        if args.profile == "-":
-            print()
-            print(profiler.report())
-        else:
-            profiler.write(args.profile)
-            print(f"\nwrote profile to {args.profile}")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="repro bench-batching",
-        description="batch-size throughput ablation across protocols",
-    )
-    add_arguments(parser)
-    run_main(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    main()
+    ),
+    cells=cells,
+    run_cell=lambda sweep, cell: run_point(sweep, *cell),
+    phase=lambda cell: f"{cell[0]}/batch{cell[1]}",
+    columns=COLUMNS,
+    title=table_title,
+    headline=headline,
+)

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Type
 
-from ..config import ClusterConfig
-from ..sim import ConstantDelay, Simulator, Trace
-from ..workload import ClientOptions, DeliveryTracker, OneShotClient
-from .latency_table import DELTA, _group_size_for
+from ..sim import ConstantDelay
+from .driver import BenchSpec
+from .latency_table import DELTA, _build, _group_size_for
 from .report import render_table
 
 
@@ -37,21 +36,11 @@ class ComplexityPoint:
 def measure_complexity(
     protocol_cls: Type, dest_k: int, num_groups: int = 4
 ) -> ComplexityPoint:
-    group_size = _group_size_for(protocol_cls)
-    config = ClusterConfig.build(num_groups, group_size, 1)
-    trace = Trace()
-    sim = Simulator(ConstantDelay(DELTA), seed=0, trace=trace)
-    tracker = DeliveryTracker(config, sim=sim)
-    trace.attach(tracker)
-    for pid in config.all_members:
-        sim.add_process(pid, lambda rt, p=pid: protocol_cls(p, config, rt, options=None))
-    dests = tuple(range(dest_k))
-    client = sim.add_process(
-        config.clients[0],
-        lambda rt: OneShotClient(
-            config.clients[0], config, rt, protocol_cls, tracker,
-            [(0.0, dests)], ClientOptions(),
-        ),
+    sim, _config, trace, tracker, (client,) = _build(
+        protocol_cls,
+        ConstantDelay(DELTA),
+        [[(0.0, tuple(range(dest_k)))]],
+        num_groups=num_groups,
     )
     sim.run()
     mid = client.sent[0]
@@ -60,7 +49,7 @@ def measure_complexity(
     return ComplexityPoint(
         protocol=protocol_cls.__name__.replace("Process", ""),
         dest_k=dest_k,
-        group_size=group_size,
+        group_size=_group_size_for(protocol_cls),
         messages=trace.send_count,
         messages_excl_self=non_self,
         leader_delivery_delta=(latency / DELTA) if latency else float("nan"),
@@ -92,9 +81,9 @@ def format_complexity(points: List[ComplexityPoint]) -> str:
     )
 
 
-def main() -> None:
-    print(format_complexity(complexity_table()))
-
-
-if __name__ == "__main__":
-    main()
+BENCH = BenchSpec(
+    name="complexity",
+    help="message-complexity table",
+    run_cell=lambda _params, _cell: complexity_table(),
+    report=lambda _params, results: format_complexity(results[0]),
+)

@@ -17,22 +17,31 @@ serving linearizability checker for both — plus a keys-mode
 lane-leader-crash run; a run that fails any of them is not a
 measurement.
 
-Run ``python -m repro.bench.conflict`` (or ``python -m repro
-bench-conflict``); ``--quick`` shrinks the grid for CI, ``--out FILE``
-writes the standard results block (``results/conflict.txt``).
+Run ``python -m repro bench-conflict``; ``--quick`` shrinks the grid for
+CI, ``--out FILE`` writes the standard results block
+(``results/conflict.txt``).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..checking import check_all
+from ..config import ClusterConfig
 from ..protocols import PROTOCOLS
-from ..serving import run_serving_workload
+from ..workload import ClientOptions
+from .batching import wan_protocol_options
+from .driver import (
+    BenchSpec,
+    option,
+    positive_int,
+    seed_option,
+)
+from .harness import run_workload
 from .metrics import summarize_latencies
-from .report import render_table
+from .serving import checker_failures, run_crash_point, run_wan_arm
+from .topologies import wan_site_map, wan_testbed
 
 #: Zipf exponents swept by default: mildly skewed traffic is mostly
 #: disjoint-key (the commuting case keys mode exploits); the hot-key
@@ -69,11 +78,52 @@ class ConflictPoint:
     linearizable: bool
 
 
-@dataclass
-class ConflictSweepConfig:
+@dataclass(frozen=True)
+class ConflictParams:
+    """The sweep's grid; fields built with ``option`` are its flags."""
+
+    shard_counts: Tuple[int, ...] = option(
+        CONFLICT_SHARDS,
+        "--shards",
+        type=positive_int,
+        metavar="N",
+        convert=lambda v: (v,),
+        help="single lane-count override for the shards axis "
+        f"(default axis: {','.join(map(str, CONFLICT_SHARDS))})",
+    )
+    skews: Tuple[float, ...] = option(
+        CONFLICT_SKEWS,
+        "--skew",
+        type=float,
+        metavar="S",
+        convert=lambda v: (v,),
+        help="single Zipf-exponent override for the skew axis "
+        f"(default axis: {','.join(map(str, CONFLICT_SKEWS))})",
+    )
+    #: Serving arm: session mix sizing (linearizability coverage).
+    ops_per_session: int = option(
+        40,
+        "--ops",
+        type=positive_int,
+        metavar="N",
+        help="serving-arm ops per session (default: 40; 20 with --quick)",
+    )
+    sessions: int = option(
+        4,
+        "--sessions",
+        type=positive_int,
+        metavar="N",
+        help="serving-arm concurrent sessions (default: 4; 3 with --quick)",
+    )
+    crash_run: bool = option(
+        True,
+        "--no-crash",
+        action="store_true",
+        convert=lambda v: not v,
+        help="skip the keys-mode lane-leader-crash run",
+    )
+    seed: int = seed_option()
     protocol: str = "wbcast"
-    shard_counts: Sequence[int] = CONFLICT_SHARDS
-    skews: Sequence[float] = CONFLICT_SKEWS
     num_groups: int = 3
     group_size: int = 3
     #: Delivery arm: closed-loop cross-group multicast clients.
@@ -81,70 +131,12 @@ class ConflictSweepConfig:
     messages_per_client: int = 30
     dest_k: int = 2
     window: int = 4
-    #: Serving arm: session mix sizing (linearizability coverage).
-    sessions: int = 4
-    ops_per_session: int = 40
     serving_window: int = 2
     num_keys: int = 64
     #: Serving arm mix: write-heavy, so the per-domain freshness gates
     #: and the linearizability checker both get real work.
     read_ratio: float = 0.25
     read_timeout: float = 0.5
-    seed: int = 42
-
-
-def default_sweep() -> ConflictSweepConfig:
-    return ConflictSweepConfig()
-
-
-def quick_sweep() -> ConflictSweepConfig:
-    """CI smoke: one sharded cell pair at the default skew."""
-    return ConflictSweepConfig(
-        shard_counts=(3,),
-        clients=4,
-        messages_per_client=12,
-        sessions=3,
-        ops_per_session=20,
-    )
-
-
-def _wan_config(sweep: ConflictSweepConfig, shards: int, conflict: str, clients: int):
-    """The WAN grid geometry: 3 DCs, site placement, geo-spread sessions.
-
-    Identical for the total and keys arms of a cell — the conflict mode
-    is the only thing that varies, so the latency delta is attributable
-    to delivery granularity alone.
-    """
-    import dataclasses
-
-    from ..config import ClusterConfig
-    from ..placement import PlacementPolicy
-    from .topologies import wan_site_map, wan_testbed
-
-    config = ClusterConfig.build(
-        sweep.num_groups,
-        sweep.group_size,
-        clients,
-        shards_per_group=shards,
-        conflict=conflict,
-    )
-    sites = wan_site_map(config, spread_clients=True)
-    config = dataclasses.replace(
-        config,
-        placement=PlacementPolicy(
-            mode="site", sites=tuple(sorted(sites.items())), overlay="direct"
-        ),
-    )
-    return config, wan_testbed(config, site_map=sites)
-
-
-def _wbcast_wan_options(sweep: ConflictSweepConfig):
-    """WAN-paced lane probe/advance tunables (see bench.batching)."""
-    if sweep.protocol != "wbcast":
-        return None
-    from .batching import wan_protocol_options
-
-    return wan_protocol_options(sweep.protocol, "site")
 
 
 def delivery_latencies(result) -> List[float]:
@@ -158,8 +150,28 @@ def delivery_latencies(result) -> List[float]:
     return sorted(out)
 
 
+def _point(
+    arm, conflict, shards, skew, ops, reads_local, reads_fallback, latencies, checks, lin
+) -> ConflictPoint:
+    summary = summarize_latencies(latencies)
+    return ConflictPoint(
+        arm=arm,
+        conflict=conflict,
+        shards=shards,
+        skew=skew,
+        ops=ops,
+        reads_local=reads_local,
+        reads_fallback=reads_fallback,
+        p50_delivery_ms=summary.p50 * 1000 if summary else float("nan"),
+        mean_delivery_ms=summary.mean * 1000 if summary else float("nan"),
+        p95_delivery_ms=summary.p95 * 1000 if summary else float("nan"),
+        checks_ok=all(c.ok for c in checks),
+        linearizable=all(c.ok for c in lin),
+    )
+
+
 def run_delivery_cell(
-    sweep: ConflictSweepConfig, shards: int, skew: float, conflict: str
+    sweep: ConflictParams, shards: int, skew: float, conflict: str
 ) -> ConflictPoint:
     """Cross-group multicast latency under one conflict mode.
 
@@ -175,13 +187,6 @@ def run_delivery_cell(
     (flat) lane deal for the same reason: lanes land on different DCs,
     so the cross-lane merge costs real probe rounds.
     """
-    from ..checking import check_all
-    from ..config import ClusterConfig
-    from ..workload import ClientOptions
-    from .batching import wan_protocol_options
-    from .harness import run_workload
-    from .topologies import wan_site_map, wan_testbed
-
     config = ClusterConfig.build(
         sweep.num_groups,
         sweep.group_size,
@@ -211,162 +216,70 @@ def run_delivery_cell(
         # termination check to hold.
         drain_grace=1.0,
     )
-    checks = check_all(result.history())
-    summary = summarize_latencies(result.latencies())
-    return ConflictPoint(
-        arm="delivery",
-        conflict=conflict,
-        shards=shards,
-        skew=skew,
-        ops=result.completed,
-        reads_local=0,
-        reads_fallback=0,
-        p50_delivery_ms=summary.p50 * 1000 if summary else float("nan"),
-        mean_delivery_ms=summary.mean * 1000 if summary else float("nan"),
-        p95_delivery_ms=summary.p95 * 1000 if summary else float("nan"),
-        checks_ok=all(c.ok for c in checks),
-        linearizable=True,  # no serving reads on this arm
+    return _point(
+        "delivery", conflict, shards, skew, result.completed, 0, 0,
+        result.latencies(),
+        checks=check_all(result.history()),
+        lin=[],  # no serving reads on this arm
     )
 
 
 def run_serving_cell(
-    sweep: ConflictSweepConfig, shards: int, skew: float, conflict: str
+    sweep: ConflictParams, shards: int, skew: float, conflict: str
 ) -> ConflictPoint:
     """Serving session mix under one conflict mode: real reads for the
     linearizability checker, per-domain freshness gates exercised."""
-    config, network = _wan_config(sweep, shards, conflict, sweep.sessions)
-    result = run_serving_workload(
-        PROTOCOLS[sweep.protocol],
-        config=config,
-        network=network,
-        num_sessions=sweep.sessions,
-        ops_per_session=sweep.ops_per_session,
-        read_ratio=sweep.read_ratio,
-        skew=skew,
-        num_keys=sweep.num_keys,
-        window=sweep.serving_window,
-        read_timeout=sweep.read_timeout,
-        hold_stale=sweep.read_timeout / 2,
-        protocol_options=_wbcast_wan_options(sweep),
-        seed=sweep.seed,
-        drain_grace=0.5,
-        attach_genuineness=True,
+    # Identical geometry for the total and keys arms of a cell — the
+    # conflict mode is the only thing that varies, so the latency delta is
+    # attributable to delivery granularity alone.
+    result = run_wan_arm(
+        sweep, sweep.read_ratio, skew, shards, conflict, sweep.serving_window,
+        protocol_options=wan_protocol_options(sweep.protocol, "site"),
     )
-    checks = result.check() + result.genuineness.check()
-    lin = result.check_serving()
-    summary = summarize_latencies(delivery_latencies(result))
-    return ConflictPoint(
-        arm="serving",
-        conflict=conflict,
-        shards=shards,
-        skew=skew,
-        ops=result.ops_completed,
-        reads_local=result.reads_local,
-        reads_fallback=result.reads_fallback,
-        p50_delivery_ms=summary.p50 * 1000 if summary else float("nan"),
-        mean_delivery_ms=summary.mean * 1000 if summary else float("nan"),
-        p95_delivery_ms=summary.p95 * 1000 if summary else float("nan"),
-        checks_ok=all(c.ok for c in checks),
-        linearizable=all(c.ok for c in lin),
+    return _point(
+        "serving", conflict, shards, skew, result.ops_completed,
+        result.reads_local, result.reads_fallback,
+        delivery_latencies(result),
+        checks=result.check() + result.genuineness.check(),
+        lin=result.check_serving(),
     )
 
 
-def run_crash_cell(sweep: ConflictSweepConfig) -> Dict[str, Any]:
+def run_crash_cell(sweep: ConflictParams, _points=None) -> Optional[Dict[str, Any]]:
     """Keys-mode lane-leader crash: the partial-order checkers and the
     linearizability checker must hold through a lane takeover too."""
-    from ..config import ClusterConfig
-    from ..failure.detector import MonitorOptions
-    from ..sim.faults import CrashSpec, FaultPlan
-
-    shards = max(2, max(sweep.shard_counts))
-    config = ClusterConfig.build(
-        sweep.num_groups,
-        sweep.group_size,
-        sweep.sessions,
-        shards_per_group=shards,
-        conflict="keys",
+    if not sweep.crash_run:
+        return None
+    return run_crash_point(
+        sweep, max(2, max(sweep.shard_counts)), "keys", sweep.read_ratio, max(sweep.skews)
     )
-    victim = config.lane_leader(0, 0)
-    result = run_serving_workload(
-        PROTOCOLS[sweep.protocol],
-        config=config,
-        num_sessions=sweep.sessions,
-        ops_per_session=max(20, sweep.ops_per_session // 3),
-        read_ratio=sweep.read_ratio,
-        skew=max(sweep.skews),
-        num_keys=sweep.num_keys,
-        window=1,
-        read_timeout=0.02,
-        retry_timeout=0.05,
-        seed=sweep.seed,
-        fault_plan=FaultPlan(crashes=[CrashSpec(victim, 0.03)]),
-        attach_fd=True,
-        fd_options=MonitorOptions(
-            heartbeat_interval=0.005, suspect_timeout=0.02,
-            stagger=0.01, max_timeout=0.3,
-        ),
-        max_time=60.0,
-    )
-    checks = result.check(quiescent=False)
-    lin = result.check_serving()
-    return {
-        "crashed_pid": victim,
-        "shards_per_group": shards,
-        "writes": result.writes_completed,
-        "reads_local": result.reads_local,
-        "reads_fallback": result.reads_fallback,
-        "checks_ok": all(c.ok for c in checks),
-        "linearizable": all(c.ok for c in lin),
-        "failed_checks": [c.describe() for c in checks + lin if not c.ok],
-    }
 
 
-def run_conflict(sweep: Optional[ConflictSweepConfig] = None) -> List[ConflictPoint]:
-    sweep = sweep or default_sweep()
-    points: List[ConflictPoint] = []
+def cells(sweep: ConflictParams) -> Iterator[Tuple]:
     for shards in sweep.shard_counts:
         for skew in sweep.skews:
             for conflict in ("total", "keys"):
-                points.append(run_delivery_cell(sweep, shards, skew, conflict))
-                points.append(run_serving_cell(sweep, shards, skew, conflict))
-    return points
+                yield run_delivery_cell, shards, skew, conflict
+                yield run_serving_cell, shards, skew, conflict
 
 
 # -- reporting ----------------------------------------------------------------
 
-
-def conflict_table(points: List[ConflictPoint]) -> str:
-    rows = [
-        (
-            p.arm,
-            p.conflict,
-            p.shards,
-            f"{p.skew:.2f}",
-            p.ops,
-            f"{p.reads_local}/{p.reads_fallback}" if p.arm == "serving" else "-",
-            p.p50_delivery_ms,
-            p.mean_delivery_ms,
-            p.p95_delivery_ms,
-            "ok" if p.checks_ok and p.linearizable else "FAIL",
-        )
-        for p in points
-    ]
-    return render_table(
-        [
-            "arm",
-            "conflict",
-            "shards",
-            "skew",
-            "ops",
-            "local/fallback",
-            "p50 dlv (ms)",
-            "mean dlv (ms)",
-            "p95 dlv (ms)",
-            "checks",
-        ],
-        rows,
-        title="Conflict-aware delivery — total vs keys on the WAN grid",
-    )
+COLUMNS = (
+    ("arm", lambda p: p.arm),
+    ("conflict", lambda p: p.conflict),
+    ("shards", lambda p: p.shards),
+    ("skew", lambda p: f"{p.skew:.2f}"),
+    ("ops", lambda p: p.ops),
+    (
+        "local/fallback",
+        lambda p: f"{p.reads_local}/{p.reads_fallback}" if p.arm == "serving" else "-",
+    ),
+    ("p50 dlv (ms)", lambda p: p.p50_delivery_ms),
+    ("mean dlv (ms)", lambda p: p.mean_delivery_ms),
+    ("p95 dlv (ms)", lambda p: p.p95_delivery_ms),
+    ("checks", lambda p: "ok" if p.checks_ok and p.linearizable else "FAIL"),
+)
 
 
 def headline(points: List[ConflictPoint]) -> str:
@@ -397,60 +310,27 @@ def headline(points: List[ConflictPoint]) -> str:
     return "\n".join(lines)
 
 
-def results_block(
-    sweep: ConflictSweepConfig,
-    points: List[ConflictPoint],
-    crash: Optional[Dict[str, Any]],
-) -> str:
-    header = [
-        "# Conflict-aware delivery (bench-conflict): total-order vs keys-mode "
-        "delivery latency",
-        f"# topology: {sweep.num_groups} groups x {sweep.group_size} members "
-        "on the WAN testbed (3 DCs, clients spread over DCs)",
-        f"# delivery arm: spread leaders + flat lane deal (pair-dependent "
-        f"60/75/130 ms gather RTTs), {sweep.clients} closed-loop clients x "
-        f"window {sweep.window}, {sweep.messages_per_client} msgs/client, "
-        f"dest_k={sweep.dest_k}, Zipfian single-key footprints over "
-        f"{sweep.num_keys} keys",
-        f"# serving arm: site placement, {sweep.sessions} sessions x window "
-        f"{sweep.serving_window}, {sweep.ops_per_session} ops/session, "
-        f"read ratio {sweep.read_ratio} (linearizability coverage)",
-        f"# axes: shards={list(sweep.shard_counts)} skew={list(sweep.skews)} "
-        "x conflict={total,keys}",
-        "# cli: python -m repro bench-conflict",
-        "",
+def footer(
+    _sweep: ConflictParams, _points: List[ConflictPoint], crash: Optional[Dict[str, Any]]
+) -> List[str]:
+    if crash is None:
+        return []
+    verdict = "pass" if crash["linearizable"] and crash["checks_ok"] else "FAILED"
+    return [
+        f"keys-mode lane-leader crash (pid {crash['crashed_pid']}): "
+        f"{crash['reads_local']} local / {crash['reads_fallback']} "
+        f"fallback reads, checkers {verdict}"
     ]
-    block = "\n".join(header) + conflict_table(points) + "\n\n" + headline(points)
-    if crash is not None:
-        verdict = (
-            "pass" if crash["linearizable"] and crash["checks_ok"] else "FAILED"
-        )
-        block += (
-            f"\nkeys-mode lane-leader crash (pid {crash['crashed_pid']}, "
-            f"{crash['shards_per_group']} lanes/group): "
-            f"{crash['writes']} writes, {crash['reads_local']} local / "
-            f"{crash['reads_fallback']} fallback reads, checkers {verdict}"
-        )
-    return block + "\n"
 
 
 def acceptance_failures(
-    points: List[ConflictPoint], crash: Optional[Dict[str, Any]]
+    _sweep: Any, points: List[ConflictPoint], crash: Optional[Dict[str, Any]]
 ) -> List[str]:
     """The recorded-run gates: every cell's checkers pass and keys beats
     total on median delivery latency in at least one sharded cell."""
-    failures: List[str] = []
-    for p in points:
-        if not p.checks_ok:
-            failures.append(
-                f"amcast checks failed: {p.arm} conflict={p.conflict} "
-                f"shards={p.shards}"
-            )
-        if not p.linearizable:
-            failures.append(
-                f"linearizability failed: {p.arm} conflict={p.conflict} "
-                f"shards={p.shards}"
-            )
+    failures = checker_failures(
+        points, crash, lambda p: f"{p.arm} conflict={p.conflict} shards={p.shards}"
+    )
     by_key = {
         (p.conflict, p.shards, p.skew): p for p in points if p.arm == "delivery"
     }
@@ -463,121 +343,41 @@ def acceptance_failures(
     ]
     if wins and not any(wins):
         failures.append("keys mode never beat total on median delivery latency")
-    if crash is not None and not (crash["linearizable"] and crash["checks_ok"]):
-        failures.append(f"crash run failed: {crash['failed_checks']}")
     return failures
 
 
-# -- CLI ----------------------------------------------------------------------
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The bench's options — shared with the ``repro`` CLI subcommand."""
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="single lane-count override for the shards axis "
-        f"(default axis: {','.join(map(str, CONFLICT_SHARDS))})",
-    )
-    parser.add_argument(
-        "--skew",
-        type=float,
-        default=None,
-        metavar="S",
-        help="single Zipf-exponent override for the skew axis "
-        f"(default axis: {','.join(map(str, CONFLICT_SKEWS))})",
-    )
-    parser.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        metavar="N",
-        help="ops per session (default: 60; 24 with --quick)",
-    )
-    parser.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="concurrent sessions (default: 6; 4 with --quick)",
-    )
-    parser.add_argument(
-        "--no-crash",
-        action="store_true",
-        help="skip the keys-mode lane-leader-crash run",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the standard results block to FILE",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="workload seed (default: 42)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke grid (one sharded total/keys cell pair)",
-    )
-
-
-def sweep_from_args(args: argparse.Namespace) -> ConflictSweepConfig:
-    sweep = quick_sweep() if args.quick else default_sweep()
-    if args.shards is not None:
-        sweep = replace(sweep, shard_counts=(max(1, args.shards),))
-    if args.skew is not None:
-        sweep = replace(sweep, skews=(args.skew,))
-    if args.ops is not None:
-        sweep = replace(sweep, ops_per_session=max(1, args.ops))
-    if args.sessions is not None:
-        sweep = replace(sweep, sessions=max(1, args.sessions))
-    if args.seed is not None:
-        sweep = replace(sweep, seed=args.seed)
-    return sweep
-
-
-def run_main(args: argparse.Namespace) -> int:
-    sweep = sweep_from_args(args)
-    points = run_conflict(sweep)
-    crash = None if args.no_crash else run_crash_cell(sweep)
-    print(conflict_table(points))
-    print()
-    print(headline(points))
-    if crash is not None:
-        verdict = (
-            "pass" if crash["linearizable"] and crash["checks_ok"] else "FAILED"
-        )
-        print(
-            f"keys-mode lane-leader crash (pid {crash['crashed_pid']}): "
-            f"{crash['reads_local']} local / {crash['reads_fallback']} "
-            f"fallback reads, checkers {verdict}"
-        )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(results_block(sweep, points, crash))
-        print(f"\nwrote {args.out}")
-    failures = acceptance_failures(points, crash)
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench-conflict",
-        description="conflict-aware delivery: total vs keys delivery "
-        "latency on the WAN grid (Zipfian disjoint-key workload)",
-    )
-    add_arguments(parser)
-    return run_main(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+BENCH = BenchSpec(
+    name="bench-conflict",
+    help="conflict-aware delivery: total vs keys delivery latency "
+    "on the WAN grid (Zipfian disjoint-key workload)",
+    params=ConflictParams,
+    # One sharded cell pair at the default skew.
+    quick=dict(
+        shard_counts=(3,),
+        clients=4,
+        messages_per_client=12,
+        sessions=3,
+        ops_per_session=20,
+    ),
+    flags=dict(
+        out="also write the standard results block to FILE",
+        quick="CI smoke grid (one sharded total/keys cell pair)",
+    ),
+    cells=cells,
+    run_cell=lambda sweep, cell: cell[0](sweep, *cell[1:]),
+    columns=COLUMNS,
+    title="Conflict-aware delivery — total vs keys on the WAN grid",
+    headline=headline,
+    extra=run_crash_cell,
+    footer=footer,
+    gates=acceptance_failures,
+    header=(
+        "WAN testbed (3 DCs, clients spread over DCs), every cell run under "
+        "conflict=total and conflict=keys on the same seed",
+        "delivery arm: spread leaders + flat lane deal (pair-dependent "
+        "60/75/130 ms gather RTTs), closed-loop cross-group multicasts with "
+        "Zipfian single-key footprints",
+        "serving arm: site placement, read/write session mix "
+        "(linearizability coverage)",
+    ),
+)

@@ -21,13 +21,16 @@ so the collision only forms when they share one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Tuple, Type
 
 from ..config import BatchingOptions
+from ..protocols import PROTOCOLS
 from ..protocols.skeen import SkeenProcess
+from .driver import BenchSpec, nonneg_float, option, positive_int
 from .harness import apply_batching
-from .latency_table import DELTA, _FastLink, _build
+from .latency_table import DELTA, collision_latency
 from .report import render_table
 
 
@@ -50,24 +53,9 @@ def run_convoy(
     )
     if offsets is None:
         offsets = [i * 0.25 for i in range(0, 17)]  # 0δ .. 4δ
-    t0 = 20 * delta
-    warmup = [(i * delta, (1,)) for i in range(5)]  # skew group 1's clock
     points: List[ConvoyPoint] = []
     for off in offsets:
-        tau = off * delta
-        sim, config, trace, tracker, clients = _build(
-            protocol_cls,
-            _FastLink(delta, fast_src=None, fast_dst=None, eps=delta / 1000),
-            [warmup, [(t0, (0, 1))], [(t0 + tau, (0, 1))]],
-            options=options,
-            shards_per_group=shards,
-        )
-        # The fast link races m' from its client to group 0's leader.
-        network = _FastLink(delta, fast_src=config.clients[2], fast_dst=0, eps=delta / 1000)
-        sim.network = network
-        sim.run()
-        mid = clients[1].sent[0]
-        latency = tracker.latency(mid)
+        latency = collision_latency(protocol_cls, delta, off * delta, options, shards)
         points.append(ConvoyPoint(off, latency / delta if latency else float("nan")))
     return points
 
@@ -165,91 +153,89 @@ def format_convoy(points: List[ConvoyPoint], protocol_name: str = "Skeen") -> st
     )
 
 
-def add_arguments(parser) -> None:
-    """The sweep's options — shared with the ``repro convoy`` subcommand
-    so the two entry points can never drift."""
-    from ..protocols import PROTOCOLS
+@dataclass(frozen=True)
+class ConvoyParams:
+    """The sweep's knobs; every field is a flag."""
 
-    def positive_int(text):
-        import argparse
+    protocol: str = option(
+        "skeen", "--protocol", choices=sorted(PROTOCOLS), default="skeen"
+    )
+    batch_size: int = option(
+        1,
+        "--batch-size",
+        type=positive_int,
+        default=1,
+        metavar="N",
+        help="leader-side batch size (1: per-message protocol)",
+    )
+    batch_linger: float = option(
+        0.0,
+        "--batch-linger",
+        type=nonneg_float,
+        default=0.0,
+        metavar="SECS",
+        help="leader-side linger; the knob that widens C",
+    )
+    shards: int = option(
+        1,
+        "--shards",
+        type=positive_int,
+        default=1,
+        metavar="S",
+        help="ordering lanes per group (wbcast)",
+    )
 
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-        return value
 
-    def nonneg_float(text):
-        import argparse
-
-        value = float(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-        return value
-
-    parser.add_argument("--protocol", choices=sorted(PROTOCOLS), default="skeen")
-    parser.add_argument("--batch-size", type=positive_int, default=1, metavar="N",
-                        help="leader-side batch size (1: per-message protocol)")
-    parser.add_argument("--batch-linger", type=nonneg_float, default=0.0,
-                        metavar="SECS",
-                        help="leader-side linger; the knob that widens C")
-    parser.add_argument("--shards", type=positive_int, default=1, metavar="S",
-                        help="ordering lanes per group (wbcast)")
-
-
-def run_main(args) -> None:
-    """Run the sweep for an already-parsed argument namespace."""
-    import sys
-
-    from ..protocols import PROTOCOLS
-
-    protocol_cls = PROTOCOLS[args.protocol]
-    batches = getattr(protocol_cls, "SUPPORTS_BATCHING", False)
-    shards_supported = getattr(protocol_cls, "SUPPORTS_SHARDING", False)
+def run_cell(params: ConvoyParams, _cell) -> Tuple[str, List[ConvoyPoint]]:
+    """Run the sweep with the knobs the protocol supports; returns the
+    label of what actually ran, and the points."""
+    protocol_cls = PROTOCOLS[params.protocol]
     batching = None
-    if args.batch_size > 1 or args.batch_linger > 0:
-        if batches:
+    if params.batch_size > 1 or params.batch_linger > 0:
+        if getattr(protocol_cls, "SUPPORTS_BATCHING", False):
             batching = BatchingOptions(
-                max_batch=max(1, args.batch_size), max_linger=args.batch_linger
+                max_batch=params.batch_size, max_linger=params.batch_linger
             )
         else:
             print(
                 f"note: --batch-size/--batch-linger have no effect on "
-                f"{args.protocol} (no batching support)",
+                f"{params.protocol} (no batching support)",
                 file=sys.stderr,
             )
-    shards = args.shards
-    if shards > 1 and not shards_supported:
+    shards = params.shards
+    if shards > 1 and not getattr(protocol_cls, "SUPPORTS_SHARDING", False):
         print(
-            f"note: --shards has no effect on {args.protocol} "
+            f"note: --shards has no effect on {params.protocol} "
             "(no sharding support)",
             file=sys.stderr,
         )
         shards = 1
-    points = run_convoy(protocol_cls, batching=batching, shards=shards)
     # Label only the knobs that actually applied, so a recorded table
     # never claims a configuration the run did not execute.
-    name = args.protocol
+    name = params.protocol
     if batching is not None:
-        name += f" batch={args.batch_size} linger={args.batch_linger}s"
+        name += f" batch={params.batch_size} linger={params.batch_linger}s"
     if shards > 1:
         name += f" shards={shards}"
-    print(format_convoy(points, name))
+    return name, run_convoy(protocol_cls, batching=batching, shards=shards)
+
+
+def report(_params: ConvoyParams, results) -> str:
+    ((name, points),) = results
     finite = [p.latency_delta for p in points if p.latency_delta == p.latency_delta]
-    print(f"\ncollision-free: {min(finite):.2f}δ, worst under collision: "
-          f"{max(finite):.2f}δ, window C: {convoy_window(points):.2f}δ "
-          f"(paper, Skeen per-message: 2δ → 4δ)")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro convoy",
-        description="Fig. 2 convoy-effect sweep (with batching/sharding axes)",
+    return (
+        format_convoy(points, name)
+        + f"\n\ncollision-free: {min(finite):.2f}δ, worst under collision: "
+        f"{max(finite):.2f}δ, window C: {convoy_window(points):.2f}δ "
+        f"(paper, Skeen per-message: 2δ → 4δ)"
     )
-    add_arguments(parser)
-    run_main(parser.parse_args(argv))
 
 
-if __name__ == "__main__":
-    main()
+BENCH = BenchSpec(
+    name="convoy",
+    help="Fig. 2 convoy-effect sweep "
+    "(--protocol/--batch-size/--batch-linger/--shards axes)",
+    params=ConvoyParams,
+    run_cell=run_cell,
+    report=report,
+)

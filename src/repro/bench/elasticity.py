@@ -21,15 +21,14 @@ shrinks the run for CI smoke.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..config import ClusterConfig
-from ..protocols import PROTOCOLS
 from ..sim import UniformCpu
 from ..sim.faults import JoinSpec, LaneWeightSpec, ReconfigPlan
 from ..workload import ClientOptions
+from .driver import BenchSpec, option
 from .sweep import DEFAULT_CPU_COST
 from .topologies import LAN_ONE_WAY
 
@@ -116,25 +115,36 @@ def profile_events(
     return profiles
 
 
-def run_elasticity(
-    num_groups: int = 2,
-    group_size: int = 3,
-    shards: int = 2,
-    num_clients: int = 40,
-    messages_per_client: int = 400,
-    join_at: float = 0.15,
-    reweight_at: Optional[float] = 0.3,
-    bucket: float = 0.025,
-    settle_window: float = 0.1,
-    seed: int = 42,
-    cpu_cost: float = DEFAULT_CPU_COST,
-) -> ElasticityResult:
+@dataclass(frozen=True)
+class ElasticityParams:
+    """One scale-out run; fields built with ``option`` are its flags."""
+
+    num_groups: int = option(2, "--groups", type=int, default=2)
+    group_size: int = option(3, "--group-size", type=int, default=3)
+    shards: int = option(2, "--shards", type=int, default=2)
+    num_clients: int = option(40, "--clients", type=int, default=40)
+    messages_per_client: int = option(400, "--messages", type=int, default=400)
+    join_at: float = option(0.15, "--join-at", type=float, default=0.15)
+    #: Re-deal the lanes toward the joiner, at twice the join time.
+    reweight: bool = option(
+        True, "--no-reweight", action="store_true", convert=lambda v: not v
+    )
+    seed: int = option(42, "--seed", type=int, default=42)
+    bucket: float = 0.025
+    settle_window: float = 0.1
+
+
+def run_elasticity(params: ElasticityParams, _cell=None) -> ElasticityResult:
     from ..protocols.wbcast import WbCastOptions, WbCastProcess
     from ..reconfig.harness import run_elastic_workload
     from ..sim.network import lan_topology
 
+    join_at, bucket = params.join_at, params.bucket
     config = ClusterConfig.build(
-        num_groups, group_size, num_clients, shards_per_group=shards
+        params.num_groups,
+        params.group_size,
+        params.num_clients,
+        shards_per_group=params.shards,
     )
     joiner_pid = max(config.all_processes) + 1
     driver_pid = joiner_pid + 1  # the harness's operator-console session
@@ -144,25 +154,25 @@ def run_elasticity(
     )
     events: List = [JoinSpec(join_at, 0, joiner_pid)]
     labels = [("join", join_at)]
-    if reweight_at is not None:
+    if params.reweight:
         # Re-deal lanes toward the joiner once it is in: the scale-out is
         # only real once the new member carries ordering work.
         weights = tuple((pid, 1) for pid in config.members(0)) + ((joiner_pid, 2),)
-        events.append(LaneWeightSpec(reweight_at, weights))
-        labels.append(("reweight", reweight_at))
+        events.append(LaneWeightSpec(2 * join_at, weights))
+        labels.append(("reweight", 2 * join_at))
     plan = ReconfigPlan(events=events)
     res = run_elastic_workload(
         WbCastProcess,
         config,
         plan,
-        messages_per_client=messages_per_client,
-        dest_k=min(2, num_groups),
+        messages_per_client=params.messages_per_client,
+        dest_k=min(2, params.num_groups),
         network=network,
-        seed=seed,
-        cpu=UniformCpu(cpu_cost, jitter=0.1),
+        seed=params.seed,
+        cpu=UniformCpu(DEFAULT_CPU_COST, jitter=0.1),
         protocol_options=WbCastOptions(retry_interval=0.05),
         client_options=ClientOptions(
-            num_messages=messages_per_client, window=4, retry_timeout=0.05
+            num_messages=params.messages_per_client, window=4, retry_timeout=0.05
         ),
         max_time=60.0,
     )
@@ -170,7 +180,7 @@ def run_elasticity(
     buckets = _bucket_throughput(
         list(res.tracker.partial_time.values()), bucket, horizon
     )
-    profiles = profile_events(buckets, labels, bucket, settle_window)
+    profiles = profile_events(buckets, labels, bucket, params.settle_window)
     checks_ok = all(c.ok for c in res.check_elastic(quiescent=False))
     return ElasticityResult(
         buckets=tuple(buckets),
@@ -206,52 +216,32 @@ def render(result: ElasticityResult) -> str:
     return "\n".join(lines)
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--groups", type=int, default=2)
-    parser.add_argument("--group-size", type=int, default=3)
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--clients", type=int, default=40)
-    parser.add_argument("--messages", type=int, default=400)
-    parser.add_argument("--join-at", type=float, default=0.15)
-    parser.add_argument("--no-reweight", action="store_true")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--quick", action="store_true", help="CI-sized run")
+def gates(_params, results: List[ElasticityResult], _extra) -> List[str]:
+    # Any property violation or an incomplete (wedged) run fails the
+    # invocation, so the CI smoke step actually gates on correctness.
+    (result,) = results
+    failures = []
+    if not result.checks_ok:
+        failures.append("epoch-aware property checks failed")
+    if result.completed < result.expected:
+        failures.append(f"run wedged at {result.completed}/{result.expected}")
+    return failures
 
 
-def run_main(args: argparse.Namespace) -> int:
-    kwargs = dict(
-        num_groups=args.groups,
-        group_size=args.group_size,
-        shards=args.shards,
-        num_clients=args.clients,
-        messages_per_client=args.messages,
-        join_at=args.join_at,
-        reweight_at=None if args.no_reweight else 2 * args.join_at,
-        seed=args.seed,
-    )
-    if args.quick:
-        kwargs.update(
-            num_clients=16,
-            messages_per_client=200,
-            join_at=0.03,
-            reweight_at=None if args.no_reweight else 0.06,
-            bucket=0.01,
-            settle_window=0.04,
-        )
-    result = run_elasticity(**kwargs)
-    print(render(result))
-    # Non-zero on any property violation or an incomplete (wedged) run,
-    # so the CI smoke step actually gates on correctness.
-    return 0 if (result.checks_ok and result.completed >= result.expected) else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    return run_main(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+BENCH = BenchSpec(
+    name="bench-elasticity",
+    help="throughput dip/recovery across a live scale-out "
+    "(join + lane re-deal under closed-loop load)",
+    params=ElasticityParams,
+    quick=dict(
+        num_clients=16,
+        messages_per_client=200,
+        join_at=0.03,
+        bucket=0.01,
+        settle_window=0.04,
+    ),
+    flags=dict(quick="CI-sized run"),
+    run_cell=run_elasticity,
+    report=lambda _params, results: render(results[0]),
+    gates=gates,
+)

@@ -7,63 +7,29 @@ throughput — by 70–150% at 1000 clients — and FastCast trails Skeen
 slightly in LAN (its parallel execution paths cost more than they save
 when δ is tiny).
 
-Run ``python -m repro.bench.figure7`` for the default grid; set
+Run ``python -m repro figure7`` for the default grid; set
 ``REPRO_BENCH_FULL=1`` for the larger one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from ..config import ClusterConfig
-from ..protocols import FastCastProcess, FtSkeenProcess, WbCastProcess
-from .sweep import (
-    SweepConfig,
-    SweepPoint,
-    format_sweep,
-    full_sweep_enabled,
-    headline_comparison,
-    run_sweep,
-)
+from .sweep import SweepConfig, figure_bench
 from .topologies import lan_testbed
 
-PROTOCOLS: Dict[str, type] = {
-    "wbcast": WbCastProcess,
-    "fastcast": FastCastProcess,
-    "ftskeen": FtSkeenProcess,
-}
-
-
-def default_sweep() -> SweepConfig:
-    if full_sweep_enabled():
-        return SweepConfig(
-            client_counts=(50, 100, 200, 500, 1000),
-            dest_ks=(1, 2, 4, 6, 10),
-            messages_per_client=10,
-        )
-    return SweepConfig(
+run_figure7, BENCH = figure_bench(
+    "figure7",
+    "Fig. 7 LAN sweep (REPRO_BENCH_FULL=1 for full grid)",
+    "Figure 7 (LAN): latency & throughput vs clients",
+    lan_testbed,
+    grid=SweepConfig(
         num_groups=6,
         client_counts=(20, 100, 300),
         dest_ks=(2, 4),
         messages_per_client=6,
-    )
-
-
-def run_figure7(sweep: Optional[SweepConfig] = None) -> List[SweepPoint]:
-    sweep = sweep or default_sweep()
-
-    def topology(config: ClusterConfig):
-        return lan_testbed(config, jitter=sweep.network_jitter)
-
-    return run_sweep(PROTOCOLS, topology, sweep)
-
-
-def main() -> None:
-    points = run_figure7()
-    print(format_sweep(points, "Figure 7 (LAN): latency & throughput vs clients"))
-    print()
-    print(headline_comparison(points))
-
-
-if __name__ == "__main__":
-    main()
+    ),
+    full_grid=SweepConfig(
+        client_counts=(50, 100, 200, 500, 1000),
+        dest_ks=(1, 2, 4, 6, 10),
+        messages_per_client=10,
+    ),
+)

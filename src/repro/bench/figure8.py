@@ -7,57 +7,29 @@ at 1000 clients and sustains higher throughput at high client counts; in
 WAN the ordering FastCast < Skeen of the LAN flips — speculation pays when
 δ dominates CPU cost.
 
-Run ``python -m repro.bench.figure8``; set ``REPRO_BENCH_FULL=1`` for the
+Run ``python -m repro figure8``; set ``REPRO_BENCH_FULL=1`` for the
 larger grid.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from ..config import ClusterConfig
-from .sweep import (
-    SweepConfig,
-    SweepPoint,
-    format_sweep,
-    full_sweep_enabled,
-    headline_comparison,
-    run_sweep,
-)
-from .figure7 import PROTOCOLS
+from .sweep import SweepConfig, figure_bench
 from .topologies import wan_testbed
 
-
-def default_sweep() -> SweepConfig:
-    if full_sweep_enabled():
-        return SweepConfig(
-            client_counts=(50, 100, 200, 500, 1000),
-            dest_ks=(1, 2, 4, 6, 10),
-            messages_per_client=6,
-        )
-    return SweepConfig(
+run_figure8, BENCH = figure_bench(
+    "figure8",
+    "Fig. 8 WAN sweep (REPRO_BENCH_FULL=1 for full grid)",
+    "Figure 8 (WAN): latency & throughput vs clients",
+    wan_testbed,
+    grid=SweepConfig(
         num_groups=6,
         client_counts=(20, 100, 300),
         dest_ks=(2, 4),
         messages_per_client=4,
-    )
-
-
-def run_figure8(sweep: Optional[SweepConfig] = None) -> List[SweepPoint]:
-    sweep = sweep or default_sweep()
-
-    def topology(config: ClusterConfig):
-        return wan_testbed(config, jitter=sweep.network_jitter)
-
-    return run_sweep(PROTOCOLS, topology, sweep)
-
-
-def main() -> None:
-    points = run_figure8()
-    print(format_sweep(points, "Figure 8 (WAN): latency & throughput vs clients"))
-    print()
-    print(headline_comparison(points))
-
-
-if __name__ == "__main__":
-    main()
+    ),
+    full_grid=SweepConfig(
+        client_counts=(50, 100, 200, 500, 1000),
+        dest_ks=(1, 2, 4, 6, 10),
+        messages_per_client=6,
+    ),
+)

@@ -1,10 +1,13 @@
 """Build and run one complete workload configuration.
 
-This is the single entry point used by the test suite, the example scripts
-and every benchmark: it wires a cluster, a protocol, clients, a delivery
-tracker and optional monitors into a simulator, runs until the clients
-finish (plus a drain grace period so followers catch up), and returns a
-:class:`RunResult` exposing the history, checker verdicts and metrics.
+:class:`SimCluster` is the one place a simulated cluster is stood up:
+simulator, trace, delivery tracker, telemetry, protocol members, failure
+detectors, monitors and fault plan, plus the one ``run until done, then
+drain`` loop.  :func:`run_workload` — the entry point used by the test
+suite, the example scripts and every benchmark — composes it with
+closed-loop clients and returns a :class:`RunResult` exposing the
+history, checker verdicts and metrics; the reconfiguration and serving
+harnesses compose the same builder with what is theirs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from ..checking import History, check_all
 from ..checking.genuineness import GenuinenessMonitor
 from ..config import BatchingOptions, ClusterConfig
 from ..errors import SimulationError
+from ..failure.detector import attach_monitor
+from ..obs import Telemetry, collect_process_stats
 from ..sim import ConstantDelay, CpuModel, Simulator, Trace
 from ..sim.faults import FaultPlan
 from ..sim.network import DelayModel
@@ -26,6 +31,173 @@ from ..workload import (
     DestinationChooser,
     RandomKGroups,
 )
+
+
+def apply_batching(protocol_cls, protocol_options: Any, batching: BatchingOptions) -> Any:
+    """Fold a ``batching`` knob into the protocol options, where supported.
+
+    Protocols that don't understand batching (Skeen, the sequencer)
+    silently ignore the knob, so sweeps can pass one ``batching`` value
+    across a heterogeneous protocol grid.  Supporting protocols declare
+    ``SUPPORTS_BATCHING`` plus their options dataclass as ``OPTIONS_CLS``
+    (WbCast, FtSkeen and FastCast today).  Public: the CLI's net runtime
+    folds options through it too.
+    """
+    if protocol_options is not None and hasattr(protocol_options, "batching"):
+        return replace(protocol_options, batching=batching)
+    if protocol_options is None and getattr(protocol_cls, "SUPPORTS_BATCHING", False):
+        # AttributeError here means a protocol declared SUPPORTS_BATCHING
+        # without naming its options dataclass — fail loudly, don't guess.
+        return protocol_cls.OPTIONS_CLS(batching=batching)
+    return protocol_options
+
+
+class SimCluster:
+    """One simulated cluster, wired and ready for its load generators.
+
+    Construction registers every member of ``config`` (telemetry and
+    failure detectors attached as asked); the caller then adds whatever
+    drives the run (:meth:`add_clients`, or ``sim.add_process`` for
+    one-off processes), calls :meth:`arm`, and :meth:`run`.  ``monitors``
+    (``None`` entries skipped) are attached to the trace in the order
+    given, after the span monitor and the delivery tracker.
+    """
+
+    def __init__(
+        self,
+        protocol_cls,
+        config: ClusterConfig,
+        network: Optional[DelayModel] = None,
+        seed: int = 0,
+        cpu: Optional[CpuModel] = None,
+        protocol_options: Any = None,
+        batching: Optional[BatchingOptions] = None,
+        obs: Optional[Any] = None,
+        monitors: Sequence[Any] = (),
+        attach_fd: bool = False,
+        fd_options: Any = None,
+        record_sends: bool = True,
+    ) -> None:
+        if batching is not None:
+            protocol_options = apply_batching(protocol_cls, protocol_options, batching)
+        self.protocol_cls = protocol_cls
+        self.config = config
+        self.protocol_options = protocol_options
+        self.trace = trace = Trace(record_sends=record_sends)
+        self.sim = sim = Simulator(
+            network if network is not None else ConstantDelay(0.001),
+            seed=seed, trace=trace, cpu=cpu,
+        )
+        self.telemetry = telemetry = Telemetry.create(
+            obs if obs is not None else config.obs,
+            now=lambda: sim.now, time_source=sim,
+        )
+        if telemetry is not None:
+            span_monitor = telemetry.trace_monitor()
+            if span_monitor is not None:
+                trace.attach(span_monitor)
+        self.tracker = DeliveryTracker(config, sim=sim)
+        trace.attach(self.tracker)
+        self.monitors = [m for m in monitors if m is not None]
+        for monitor in self.monitors:
+            trace.attach(monitor)
+        self.members: Dict[int, Any] = {}
+        for pid in config.all_members:
+            proc = sim.add_process(
+                pid,
+                lambda rt, p=pid: protocol_cls(p, config, rt, options=protocol_options),
+            )
+            self.members[pid] = proc
+            if telemetry is not None:
+                proc.attach_obs(telemetry)
+            if attach_fd:
+                attach_monitor(proc, fd_options)
+        self.end_of_load = 0.0
+
+    def add_clients(self, factory: Callable[[int, int, Any], Any]) -> List[Any]:
+        """One process per ``config.clients`` pid; ``factory(index, pid,
+        runtime)`` builds it."""
+        return [
+            self.sim.add_process(pid, lambda rt, i=i, p=pid: factory(i, p, rt))
+            for i, pid in enumerate(self.config.clients)
+        ]
+
+    def add_closed_loop_clients(
+        self,
+        options: ClientOptions,
+        dest_k: int,
+        chooser_factory: Optional[Callable[[ClusterConfig, int], DestinationChooser]],
+    ) -> List[ClosedLoopClient]:
+        config = self.config
+
+        def build(i, pid, rt):
+            chooser = (
+                chooser_factory(config, i)
+                if chooser_factory is not None
+                else RandomKGroups(config, dest_k)
+            )
+            return ClosedLoopClient(
+                pid, config, rt, self.protocol_cls, self.tracker, chooser, options
+            )
+
+        return self.add_clients(build)
+
+    def arm(self, fault_plan: Optional[FaultPlan] = None) -> None:
+        """Last step before running: hand the registered members to the
+        monitors that introspect them, and schedule the fault plan."""
+        for monitor in self.monitors:
+            binder = getattr(monitor, "bind_processes", None)
+            if callable(binder):
+                binder(self.members)
+        if fault_plan is not None:
+            fault_plan.validate(self.config)
+            fault_plan.apply(self.sim)
+
+    def run(
+        self,
+        expected: int = 0,
+        done: Optional[Callable[[], bool]] = None,
+        drain_grace: float = 0.05,
+        max_events: int = 50_000_000,
+        max_time: Optional[float] = None,
+    ) -> float:
+        """Step until the tracker counts ``expected`` completed multicasts
+        — or, for loads whose completion is not a delivery count, until
+        ``done()`` — then drain ``drain_grace`` more virtual seconds so
+        followers catch up.  Returns the end-of-load time.
+
+        Stops early when the queue drains (lost messages, no retry) or
+        virtual time passes ``max_time``; raises past ``max_events``.
+        """
+        sim, tracker = self.sim, self.tracker
+        steps = 0
+        # The count compare stays inline: this loop runs once per event.
+        while (tracker.completed_count < expected) if done is None else not done():
+            if not sim.step():
+                break
+            steps += 1
+            if steps > max_events:
+                raise SimulationError(f"run exceeded {max_events} events before completing")
+            if max_time is not None and sim.now > max_time:
+                break
+        self.end_of_load = sim.now
+        if drain_grace > 0:
+            sim.run(until=sim.now + drain_grace)
+        if self.telemetry is not None:
+            collect_process_stats(self.telemetry, self.members)
+        return self.end_of_load
+
+    def result_fields(self) -> Dict[str, Any]:
+        """The fields every harness's result type shares."""
+        return dict(
+            config=self.config,
+            sim=self.sim,
+            trace=self.trace,
+            tracker=self.tracker,
+            members=self.members,
+            duration=self.end_of_load,
+            telemetry=self.telemetry,
+        )
 
 
 @dataclass
@@ -43,6 +215,8 @@ class RunResult:
     expected: int
     #: repro.obs.Telemetry of the run, or None when observability is off.
     telemetry: Optional[Any] = None
+    #: The genuineness monitor, when the run attached one.
+    genuineness: Optional[Any] = None
 
     def history(self) -> History:
         return History.from_trace(self.config, self.trace)
@@ -82,29 +256,6 @@ class RunResult:
         return self.completed >= self.expected
 
 
-def _default_protocol_options(protocol_cls, client_retry: Optional[float]):
-    return None
-
-
-def apply_batching(protocol_cls, protocol_options: Any, batching: BatchingOptions) -> Any:
-    """Fold a ``batching`` knob into the protocol options, where supported.
-
-    Protocols that don't understand batching (Skeen, the sequencer)
-    silently ignore the knob, so sweeps can pass one ``batching`` value
-    across a heterogeneous protocol grid.  Supporting protocols declare
-    ``SUPPORTS_BATCHING`` plus their options dataclass as ``OPTIONS_CLS``
-    (WbCast, FtSkeen and FastCast today).  Public: the CLI's net runtime
-    folds options through it too.
-    """
-    if protocol_options is not None and hasattr(protocol_options, "batching"):
-        return replace(protocol_options, batching=batching)
-    if protocol_options is None and getattr(protocol_cls, "SUPPORTS_BATCHING", False):
-        # AttributeError here means a protocol declared SUPPORTS_BATCHING
-        # without naming its options dataclass — fail loudly, don't guess.
-        return protocol_cls.OPTIONS_CLS(batching=batching)
-    return protocol_options
-
-
 def run_workload(
     protocol_cls,
     num_groups: int = 2,
@@ -142,99 +293,35 @@ def run_workload(
     """
     if config is None:
         config = ClusterConfig.build(num_groups, group_size, num_clients)
-    if batching is not None:
-        protocol_options = apply_batching(protocol_cls, protocol_options, batching)
-    if network is None:
-        network = ConstantDelay(0.001)
-    trace = Trace(record_sends=record_sends)
-    sim = Simulator(network, seed=seed, trace=trace, cpu=cpu)
-    from ..obs import Telemetry
-
-    telemetry = Telemetry.create(obs if obs is not None else config.obs,
-                                 now=lambda: sim.now, time_source=sim)
-    if telemetry is not None:
-        span_monitor = telemetry.trace_monitor()
-        if span_monitor is not None:
-            trace.attach(span_monitor)
-    tracker = DeliveryTracker(config, sim=sim)
-    trace.attach(tracker)
-    genuineness = None
-    if attach_genuineness:
-        genuineness = GenuinenessMonitor(config)
-        trace.attach(genuineness)
-    for monitor in monitors:
-        trace.attach(monitor)
-
-    members: Dict[int, Any] = {}
-    for gid in config.group_ids:
-        for pid in config.members(gid):
-            proc = sim.add_process(
-                pid,
-                lambda rt, p=pid: protocol_cls(p, config, rt, options=protocol_options),
-            )
-            members[pid] = proc
-            if telemetry is not None:
-                proc.attach_obs(telemetry)
-            if attach_fd:
-                from ..failure.detector import attach_monitor
-
-                attach_monitor(proc, fd_options)
-
-    clients: List[ClosedLoopClient] = []
-    copts = client_options or ClientOptions(num_messages=messages_per_client)
-    for i, pid in enumerate(config.clients):
-        chooser = (
-            chooser_factory(config, i)
-            if chooser_factory is not None
-            else RandomKGroups(config, dest_k)
-        )
-        client = sim.add_process(
-            pid,
-            lambda rt, p=pid, ch=chooser: ClosedLoopClient(
-                p, config, rt, protocol_cls, tracker, ch, copts
-            ),
-        )
-        clients.append(client)
-
-    for monitor in monitors:
-        binder = getattr(monitor, "bind_processes", None)
-        if callable(binder):
-            binder(members)
-
-    if fault_plan is not None:
-        fault_plan.validate(config)
-        fault_plan.apply(sim)
-
-    expected = sum(c.options.num_messages for c in clients)
-    steps = 0
-    while tracker.completed_count < expected:
-        if not sim.step():
-            break  # queue drained before completion (e.g. lost messages, no retry)
-        steps += 1
-        if steps > max_events:
-            raise SimulationError(f"run exceeded {max_events} events before completing")
-        if max_time is not None and sim.now > max_time:
-            break
-    end_of_load = sim.now
-    if drain_grace > 0:
-        sim.run(until=sim.now + drain_grace)
-    if telemetry is not None:
-        from ..obs import collect_process_stats
-
-        collect_process_stats(telemetry, members)
-
-    result = RunResult(
-        config=config,
-        sim=sim,
-        trace=trace,
-        tracker=tracker,
-        clients=clients,
-        members=members,
-        duration=end_of_load,
-        completed=tracker.completed_count,
-        expected=expected,
-        telemetry=telemetry,
+    genuineness = GenuinenessMonitor(config) if attach_genuineness else None
+    cluster = SimCluster(
+        protocol_cls,
+        config,
+        network=network,
+        seed=seed,
+        cpu=cpu,
+        protocol_options=protocol_options,
+        batching=batching,
+        obs=obs,
+        monitors=[genuineness, *monitors],
+        attach_fd=attach_fd,
+        fd_options=fd_options,
+        record_sends=record_sends,
     )
-    if genuineness is not None:
-        result.genuineness = genuineness  # type: ignore[attr-defined]
-    return result
+    clients = cluster.add_closed_loop_clients(
+        client_options or ClientOptions(num_messages=messages_per_client),
+        dest_k,
+        chooser_factory,
+    )
+    cluster.arm(fault_plan)
+    expected = sum(c.options.num_messages for c in clients)
+    cluster.run(
+        expected, drain_grace=drain_grace, max_events=max_events, max_time=max_time
+    )
+    return RunResult(
+        clients=clients,
+        completed=cluster.tracker.completed_count,
+        expected=expected,
+        genuineness=genuineness,
+        **cluster.result_fields(),
+    )

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import ClusterConfig
-from ..sim import ConstantDelay, Simulator, Trace
+from ..sim import ConstantDelay
 from ..sim.network import DelayModel
 from ..types import ProcessId
-from ..workload import ClientOptions, DeliveryTracker, OneShotClient
+from ..workload import ClientOptions, OneShotClient
+from .driver import BenchSpec
+from .harness import SimCluster
 from .report import render_table
 
 #: Theoretical (collision-free, failure-free) latencies in δ units (§VI).
@@ -74,29 +76,19 @@ def _build(
     shards_per_group: int = 1,
 ):
     """One simulator with OneShot clients following ``schedules``."""
-    group_size = _group_size_for(protocol_cls)
     config = ClusterConfig.build(
-        num_groups, group_size, len(schedules), shards_per_group=shards_per_group
+        num_groups,
+        _group_size_for(protocol_cls),
+        len(schedules),
+        shards_per_group=shards_per_group,
     )
-    trace = Trace()
-    sim = Simulator(network, seed=0, trace=trace)
-    tracker = DeliveryTracker(config, sim=sim)
-    trace.attach(tracker)
-    for pid in config.all_members:
-        sim.add_process(
-            pid, lambda rt, p=pid: protocol_cls(p, config, rt, options=options)
+    cluster = SimCluster(protocol_cls, config, network=network, protocol_options=options)
+    clients = cluster.add_clients(
+        lambda i, pid, rt: OneShotClient(
+            pid, config, rt, protocol_cls, cluster.tracker, schedules[i], ClientOptions()
         )
-    clients = []
-    for pid, schedule in zip(config.clients, schedules):
-        clients.append(
-            sim.add_process(
-                pid,
-                lambda rt, p=pid, s=schedule: OneShotClient(
-                    p, config, rt, protocol_cls, tracker, s, ClientOptions()
-                ),
-            )
-        )
-    return sim, config, trace, tracker, clients
+    )
+    return cluster.sim, config, cluster.trace, cluster.tracker, clients
 
 
 def measure_cfl(protocol_cls, delta: float = DELTA) -> Tuple[float, float]:
@@ -113,44 +105,53 @@ def measure_cfl(protocol_cls, delta: float = DELTA) -> Tuple[float, float]:
     return leader_latency / delta, all_latency / delta
 
 
+def collision_latency(
+    protocol_cls,
+    delta: float,
+    tau: float,
+    options=None,
+    shards_per_group: int = 1,
+) -> Optional[float]:
+    """Latency (seconds) of ``m`` when a conflicting ``m'`` is injected
+    ``tau`` after it — one run of the Fig. 2 construction.
+
+    Warm-up traffic addressed only to group 1 skews its clock ahead of
+    group 0's, so message ``m`` (to both groups) gets a high global
+    timestamp while group 0's leader still has a low clock.  The
+    conflicting ``m'`` then races over a near-zero link to group 0's
+    leader; arriving before that leader's clock passes m's global
+    timestamp, it takes a lower local timestamp and blocks m until m'
+    itself commits — which takes m's full commit pipeline again.
+    """
+    t0 = 20 * delta  # m is multicast well after the warm-up has quiesced
+    warmup = [(i * delta, (1,)) for i in range(5)]
+    sim, config, _trace, tracker, clients = _build(
+        protocol_cls,
+        ConstantDelay(delta),
+        [warmup, [(t0, (0, 1))], [(t0 + tau, (0, 1))]],
+        options=options,
+        shards_per_group=shards_per_group,
+    )
+    # The adversarial fast link runs from m' 's client to group 0's leader.
+    sim.network = _FastLink(delta, config.clients[2], 0, eps=delta / 1000)
+    sim.run()
+    return tracker.latency(clients[1].sent[0])
+
+
 def measure_ffl(
     protocol_cls,
     delta: float = DELTA,
     sweep_to: float = 8.0,
     step: float = 0.125,
+    options=None,
 ) -> float:
     """Worst observed latency (in δ units) of a message under one
-    adversarially timed conflicting message, over an offset sweep.
-
-    The scenario generalises Fig. 2: warm-up traffic addressed only to
-    group 1 skews its clock ahead of group 0's, so message ``m`` (to both
-    groups) gets a high global timestamp while group 0's leader still has
-    a low clock.  The conflicting ``m'`` then races over a near-zero link
-    to group 0's leader; arriving before that leader's clock passes m's
-    global timestamp, it takes a lower local timestamp and blocks m until
-    m' itself commits — which takes m's full commit pipeline again.
-    """
-    worst = 0.0
-    group_size = _group_size_for(protocol_cls)
-    fast_dst = 0  # the adversarial fast link targets the leader of group 0
-    t0 = 20 * delta  # m is multicast well after the warm-up has quiesced
-    warmup = [(i * delta, (1,)) for i in range(5)]
-    offsets = [delta * step * i for i in range(int(sweep_to / step) + 1)]
-    for tau in offsets:
-        config = ClusterConfig.build(2, group_size, 3)
-        fast_src = config.clients[2]
-        network = _FastLink(delta, fast_src, fast_dst, eps=delta / 1000)
-        sim, config, trace, tracker, clients = _build(
-            protocol_cls,
-            network,
-            [warmup, [(t0, (0, 1))], [(t0 + tau, (0, 1))]],
-        )
-        sim.run()
-        mid = clients[1].sent[0]
-        latency = tracker.latency(mid)
-        if latency is not None and latency > worst:
-            worst = latency
-    return worst / delta
+    adversarially timed conflicting message, over an offset sweep."""
+    latencies = (
+        collision_latency(protocol_cls, delta, delta * step * i, options)
+        for i in range(int(sweep_to / step) + 1)
+    )
+    return max((lat for lat in latencies if lat is not None), default=0.0) / delta
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,9 @@ def format_latency_table(rows: List[LatencyRow]) -> str:
     )
 
 
-def main() -> None:
-    print(format_latency_table(build_latency_table()))
-
-
-if __name__ == "__main__":
-    main()
+BENCH = BenchSpec(
+    name="latency-table",
+    help="CFL/FFL table (Theorems 3-4)",
+    run_cell=lambda _params, _cell: build_latency_table(),
+    report=lambda _params, results: format_latency_table(results[0]),
+)

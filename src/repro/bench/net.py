@@ -20,26 +20,32 @@ The wire-path knobs under test are the point:
 * ``--procs lanes`` hosts every member — hence every lane leader — in
   its own OS process.
 
-Run ``python -m repro.bench.net`` (or ``python -m repro bench-net``);
-``--quick`` is the CI smoke grid, ``--out FILE`` appends the standard
-results-file block (header comment, table, headline).
+Run ``python -m repro bench-net``; ``--quick`` is the CI smoke grid,
+``--out FILE`` writes the standard results-file block (header comment,
+table, headline).
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import statistics
-import sys
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..client import AmcastClientOptions
 from ..config import BatchingOptions, ClusterConfig
 from ..net import LocalCluster, MultiProcCluster, TransportOptions
+from ..net.codec import CODEC_STATS
+from ..obs import ObsOptions
 from ..protocols import PROTOCOLS
-from ..workload.netdrive import drive_cluster
-from .report import render_table
+from ..workload.netdrive import drive_cluster, install_loop
+from .driver import (
+    BenchSpec,
+    int_list,
+    option,
+    positive_int,
+)
+from .harness import apply_batching
+from .metrics import summarize_latencies
 
 #: Protocols swept by default: the paper's white-box protocol and the
 #: strongest black-box baseline.
@@ -65,88 +71,125 @@ class NetPoint:
     completed: int
     submitted: int
     backpressure_events: int
+    #: With ``--obs``: hot-path message types that fell back to pickle in
+    #: this cell (name -> count), and frames rejected as corrupt.
+    codec_fallbacks: Dict[str, int] = field(default_factory=dict)
+    corrupt_frames: int = 0
 
 
-@dataclass
-class NetSweepConfig:
-    protocols: Sequence[str] = NET_PROTOCOLS
+@dataclass(frozen=True)
+class NetParams:
+    """The sweep's grid; fields built with ``option`` are its flags."""
+
+    protocols: Tuple[str, ...] = option(
+        NET_PROTOCOLS,
+        "--protocol",
+        choices=(*NET_PROTOCOLS, "all"),
+        default="all",
+        convert=lambda v: (v,),
+        help="protocol axis (default: wbcast and ftskeen)",
+    )
+    codec: str = option(
+        "binary",
+        "--codec",
+        choices=("binary", "pickle"),
+        default="binary",
+        help="wire codec: struct-packed binary (default) or the "
+        "pre-overhaul whole-frame pickle (the recorded baseline)",
+    )
+    coalesce: bool = option(
+        True,
+        "--no-coalesce",
+        action="store_true",
+        convert=lambda v: not v,
+        help="flush one frame per drain() await (the pre-overhaul writer)",
+    )
+    loop: str = option(
+        "default",
+        "--loop",
+        choices=("default", "uvloop"),
+        default="default",
+        help="event loop; uvloop degrades to the default loop (with an "
+        "honest label in the results) when not installed",
+    )
+    #: ``"1"``: whole cluster in one process; ``"lanes"``: one OS process
+    #: per member, so each lane leader runs alone (MultiProcCluster).
+    procs: str = option(
+        "1",
+        "--procs",
+        choices=("1", "lanes"),
+        default="1",
+        help="'1': whole cluster in one process; 'lanes': one OS process "
+        "per member, so each lane leader runs alone",
+    )
     #: Leader-side batch sizes (1 = the paper's per-message protocol).
-    batch_sizes: Sequence[int] = (1, 8)
+    batch_sizes: Tuple[int, ...] = option(
+        (1, 8),
+        "--batch-sizes",
+        type=int_list,
+        metavar="N[,N...]",
+        help="leader-side batch-size axis (default: 1,8)",
+    )
     #: Client-side ingress coalescing sizes (1 = one MULTICAST per msg).
-    ingress_batches: Sequence[int] = (1, 16)
+    ingress_batches: Tuple[int, ...] = option(
+        (1, 16),
+        "--ingress-batch",
+        type=int_list,
+        metavar="N[,N...]",
+        help="client-side ingress coalescing axis (default: 1,16)",
+    )
+    sessions: int = option(
+        2,
+        "--sessions",
+        type=positive_int,
+        metavar="N",
+        help="concurrent AmcastClient sessions (default: 2)",
+    )
+    messages_per_session: int = option(
+        400,
+        "--messages",
+        type=positive_int,
+        metavar="N",
+        help="messages per session (default: 400)",
+    )
+    #: Outstanding submissions per session; deep enough to keep writer
+    #: queues non-empty, which is what coalescing feeds on.
+    window: int = option(
+        128,
+        "--window",
+        type=positive_int,
+        metavar="N",
+        help="outstanding submissions per session (default: 128)",
+    )
+    obs: bool = option(
+        False,
+        "--obs",
+        action="store_true",
+        help="instrument every cluster with the telemetry registry and "
+        "report wire-path health (codec hot-path fallbacks, corrupt "
+        "frames) after the sweep",
+    )
     num_groups: int = 2
     group_size: int = 3
     dest_k: int = 2
-    sessions: int = 2
-    #: Outstanding submissions per session; deep enough to keep writer
-    #: queues non-empty, which is what coalescing feeds on.
-    window: int = 128
-    messages_per_session: int = 400
-    codec: str = "binary"
-    coalesce: bool = True
-    loop: str = "default"
-    #: ``"1"``: whole cluster in one process; ``"lanes"``: one OS process
-    #: per member, so each lane leader runs alone (MultiProcCluster).
-    procs: str = "1"
     max_queue: Optional[int] = 512
     linger: float = 0.002
     timeout: float = 120.0
     seed: int = 42
 
 
-def default_sweep() -> NetSweepConfig:
-    return NetSweepConfig()
-
-
-def quick_sweep() -> NetSweepConfig:
-    """CI smoke: one protocol, per-message vs ingress-batched."""
-    return NetSweepConfig(
-        protocols=("wbcast",),
-        batch_sizes=(1,),
-        ingress_batches=(1, 16),
-        messages_per_session=60,
-        timeout=60.0,
-    )
-
-
-def install_loop(loop: str) -> str:
-    """Install the requested event-loop policy; returns the honest label.
-
-    uvloop is optional and must not be a hard dependency: when requested
-    but absent, the default loop runs and the recorded label says so —
-    results files never claim a loop that didn't run.
-    """
-    if loop == "uvloop":
-        try:
-            import uvloop
-        except ImportError:
-            print("note: uvloop requested but not installed; using the "
-                  "default event loop", file=sys.stderr)
-            return "default (uvloop unavailable)"
-        asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-        return "uvloop"
-    return "default"
-
-
 def _protocol_options(protocol: str, batch: int, linger: float):
     protocol_cls = PROTOCOLS[protocol]
     if batch <= 1 or not getattr(protocol_cls, "SUPPORTS_BATCHING", False):
         return None
-    from .harness import apply_batching
-
     return apply_batching(
         protocol_cls, None, BatchingOptions(max_batch=batch, max_linger=linger)
     )
 
 
-def run_point(
-    sweep: NetSweepConfig,
-    protocol: str,
-    batch: int,
-    ingress: int,
-    loop_label: str,
-    obs=None,
-) -> NetPoint:
+def run_point(sweep: NetParams, protocol: str, batch: int, ingress: int) -> NetPoint:
+    loop_label = install_loop(sweep.loop)
+    codec_base = CODEC_STATS.snapshot() if sweep.obs else None
     protocol_cls = PROTOCOLS[protocol]
     config = ClusterConfig.build(
         num_groups=sweep.num_groups,
@@ -179,7 +222,7 @@ def run_point(
             client_options=client_options,
             num_sessions=sweep.sessions,
             transport_options=transport_options,
-            obs=obs,
+            obs=ObsOptions(enabled=True) if sweep.obs else None,
         )
         await cluster.start()
         try:
@@ -194,7 +237,13 @@ def run_point(
             await cluster.stop()
 
     result = asyncio.run(scenario())
-    lats = result.latencies
+    codec_health = {}
+    if codec_base is not None:
+        codec_health = dict(
+            codec_fallbacks=CODEC_STATS.hot_path_fallbacks(codec_base),
+            corrupt_frames=CODEC_STATS.corrupt_frames - codec_base["corrupt_frames"],
+        )
+    summary = summarize_latencies(result.latencies)
     return NetPoint(
         protocol=protocol,
         codec=sweep.codec,
@@ -206,28 +255,16 @@ def run_point(
         sessions=sweep.sessions,
         window=sweep.window,
         throughput=result.throughput,
-        mean_latency=statistics.fmean(lats) if lats else float("nan"),
-        p95_latency=(
-            statistics.quantiles(lats, n=20)[-1] if len(lats) >= 20 else float("nan")
-        ),
+        mean_latency=summary.mean if summary else float("nan"),
+        p95_latency=summary.p95 if summary else float("nan"),
         completed=result.completed,
         submitted=result.submitted,
         backpressure_events=result.backpressure_events,
+        **codec_health,
     )
 
 
-def run_net(
-    sweep: Optional[NetSweepConfig] = None,
-    profiler=None,
-    obs=None,
-) -> List[NetPoint]:
-    """Run the grid.  ``profiler`` (a
-    :class:`~repro.obs.PhaseProfiler`) attributes CPU per grid cell;
-    ``obs`` (an :class:`~repro.obs.ObsOptions`) instruments every
-    cluster with the telemetry registry."""
-    sweep = sweep or default_sweep()
-    loop_label = install_loop(sweep.loop)
-    points: List[NetPoint] = []
+def cells(sweep: NetParams) -> Iterator[Tuple[str, int, int]]:
     for protocol in sweep.protocols:
         batches = (
             tuple(sweep.batch_sizes)
@@ -236,303 +273,97 @@ def run_net(
         )
         for batch in batches:
             for ingress in sweep.ingress_batches:
-                if profiler is not None:
-                    label = f"{protocol}/batch{batch}/ingress{ingress}"
-                    with profiler.phase(label):
-                        point = run_point(
-                            sweep, protocol, batch, ingress, loop_label, obs=obs
-                        )
-                else:
-                    point = run_point(
-                        sweep, protocol, batch, ingress, loop_label, obs=obs
-                    )
-                points.append(point)
-    return points
+                yield protocol, batch, ingress
 
 
-def peak_throughput(
-    points: List[NetPoint], protocol: Optional[str] = None
-) -> Tuple[float, Optional[NetPoint]]:
-    """Best throughput (and its point) across the grid."""
-    best: Optional[NetPoint] = None
-    for p in points:
-        if protocol is not None and p.protocol != protocol:
-            continue
-        if best is None or p.throughput > best.throughput:
-            best = p
-    return (best.throughput if best else 0.0), best
-
-
-def net_table(points: List[NetPoint]) -> str:
-    rows = [
-        (
-            p.protocol,
-            p.codec,
-            "on" if p.coalesce else "off",
-            p.procs,
-            p.batch,
-            p.ingress,
-            p.sessions,
-            p.throughput,
-            p.mean_latency * 1000,
-            p.p95_latency * 1000,
-            f"{p.completed}/{p.submitted}",
-            p.backpressure_events,
-        )
-        for p in points
-    ]
-    return render_table(
-        [
-            "protocol",
-            "codec",
-            "coalesce",
-            "procs",
-            "batch",
-            "ingress",
-            "sessions",
-            "msgs/s",
-            "mean lat (ms)",
-            "p95 lat (ms)",
-            "completed",
-            "backpressure",
-        ],
-        rows,
-        title="TCP runtime sweep — localhost sockets, AmcastClient sessions",
-    )
+COLUMNS = (
+    ("protocol", lambda p: p.protocol),
+    ("codec", lambda p: p.codec),
+    ("coalesce", lambda p: "on" if p.coalesce else "off"),
+    ("procs", lambda p: p.procs),
+    ("batch", lambda p: p.batch),
+    ("ingress", lambda p: p.ingress),
+    ("sessions", lambda p: p.sessions),
+    ("msgs/s", lambda p: p.throughput),
+    ("mean lat (ms)", lambda p: p.mean_latency * 1000),
+    ("p95 lat (ms)", lambda p: p.p95_latency * 1000),
+    ("completed", lambda p: f"{p.completed}/{p.submitted}"),
+    ("backpressure", lambda p: p.backpressure_events),
+)
 
 
 def headline(points: List[NetPoint]) -> str:
     lines = []
     for protocol in dict.fromkeys(p.protocol for p in points):
-        peak, best = peak_throughput(points, protocol=protocol)
-        if best is None:
-            continue
+        best = max(
+            (p for p in points if p.protocol == protocol), key=lambda p: p.throughput
+        )
         lines.append(
             f"{protocol} [{best.codec}, coalesce {'on' if best.coalesce else 'off'}, "
-            f"{best.loop}, procs={best.procs}]: peak {peak:,.0f} msgs/s "
+            f"{best.loop}, procs={best.procs}]: peak {best.throughput:,.0f} msgs/s "
             f"(batch {best.batch}, ingress {best.ingress}, "
             f"{best.sessions} sessions x window {best.window})"
         )
     return "\n".join(lines)
 
 
-def results_block(sweep: NetSweepConfig, points: List[NetPoint], loop_label: str) -> str:
-    """The standard results-file block: header comment, table, headline."""
-    flags = [f"--codec {sweep.codec}"]
-    if not sweep.coalesce:
-        flags.append("--no-coalesce")
-    if sweep.loop != "default":
-        flags.append(f"--loop {sweep.loop}")
-    if sweep.procs != "1":
-        flags.append(f"--procs {sweep.procs}")
-    header = [
-        "# TCP runtime sweep (bench-net): protocol x leader batch x ingress batch",
-        f"# topology: {sweep.num_groups} groups x {sweep.group_size} members, "
-        f"dest_k={sweep.dest_k}, {sweep.sessions} sessions x window {sweep.window}, "
-        f"{sweep.messages_per_session} msgs/session",
-        f"# wire: codec={sweep.codec} coalesce={'on' if sweep.coalesce else 'off'} "
-        f"loop={loop_label} procs={sweep.procs} max_queue={sweep.max_queue}",
-        f"# cli: python -m repro bench-net {' '.join(flags)}",
-        "",
-    ]
-    return "\n".join(header) + net_table(points) + "\n\n" + headline(points) + "\n"
+def codec_footer(sweep: NetParams, points: List[NetPoint], _extra) -> List[str]:
+    """``--obs``: the wire-path health line (hot-path pickle fallbacks)."""
+    if not sweep.obs:
+        return []
+    fallbacks: Dict[str, int] = {}
+    for p in points:
+        for name, count in p.codec_fallbacks.items():
+            fallbacks[name] = fallbacks.get(name, 0) + count
+    if fallbacks:
+        detail = ", ".join(
+            f"{name} x{count}" for name, count in sorted(fallbacks.items())
+        )
+        return [f"codec     : HOT-PATH PICKLE FALLBACKS — {detail}"]
+    corrupt = sum(p.corrupt_frames for p in points)
+    return [f"codec     : hot path clean (0 pickle fallbacks, {corrupt} corrupt frames)"]
 
 
-def _int_list(text: str) -> Tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated int list: {text!r}"
-        ) from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be >= 1, got {text!r}")
-    return values
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sweep's options — shared with the ``repro`` CLI subcommand."""
-    parser.add_argument(
-        "--protocol",
-        choices=(*NET_PROTOCOLS, "all"),
-        default="all",
-        help="protocol axis (default: wbcast and ftskeen)",
-    )
-    parser.add_argument(
-        "--codec",
-        choices=("binary", "pickle"),
-        default="binary",
-        help="wire codec: struct-packed binary (default) or the "
-        "pre-overhaul whole-frame pickle (the recorded baseline)",
-    )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="flush one frame per drain() await (the pre-overhaul writer)",
-    )
-    parser.add_argument(
-        "--loop",
-        choices=("default", "uvloop"),
-        default="default",
-        help="event loop; uvloop degrades to the default loop (with an "
-        "honest label in the results) when not installed",
-    )
-    parser.add_argument(
-        "--procs",
-        choices=("1", "lanes"),
-        default="1",
-        help="'1': whole cluster in one process; 'lanes': one OS process "
-        "per member, so each lane leader runs alone",
-    )
-    parser.add_argument(
-        "--batch-sizes",
-        type=_int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="leader-side batch-size axis (default: 1,8)",
-    )
-    parser.add_argument(
-        "--ingress-batch",
-        type=_int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="client-side ingress coalescing axis (default: 1,16)",
-    )
-    parser.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="concurrent AmcastClient sessions (default: 2)",
-    )
-    parser.add_argument(
-        "--messages",
-        type=int,
-        default=None,
-        metavar="N",
-        help="messages per session (default: 400)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="outstanding submissions per session (default: 64)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the standard results block to FILE",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke grid (wbcast only, tiny message counts)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="instrument every cluster with the telemetry registry and "
-        "report wire-path health (codec hot-path fallbacks, corrupt "
-        "frames) after the sweep",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="cProfile each grid cell as its own phase and print per-phase "
-        "CPU attribution ('-' or no value: stdout; FILE: write there)",
-    )
-
-
-def sweep_from_args(args: argparse.Namespace) -> NetSweepConfig:
-    sweep = quick_sweep() if args.quick else default_sweep()
-    if args.protocol != "all":
-        sweep = replace(sweep, protocols=(args.protocol,))
-    sweep = replace(
-        sweep,
-        codec=args.codec,
-        coalesce=not args.no_coalesce,
-        loop=args.loop,
-        procs=args.procs,
-    )
-    if args.batch_sizes is not None:
-        sweep = replace(sweep, batch_sizes=args.batch_sizes)
-    if args.ingress_batch is not None:
-        sweep = replace(sweep, ingress_batches=args.ingress_batch)
-    if args.sessions is not None:
-        sweep = replace(sweep, sessions=max(1, args.sessions))
-    if args.messages is not None:
-        sweep = replace(sweep, messages_per_session=max(1, args.messages))
-    if args.window is not None:
-        sweep = replace(sweep, window=max(1, args.window))
-    return sweep
-
-
-def run_main(args: argparse.Namespace) -> int:
-    sweep = sweep_from_args(args)
-    profiler = None
-    if args.profile is not None:
-        from ..obs import PhaseProfiler
-
-        profiler = PhaseProfiler()
-    obs_options = None
-    codec_base = None
-    if args.obs:
-        from ..net.codec import CODEC_STATS
-        from ..obs import ObsOptions
-
-        obs_options = ObsOptions(enabled=True)
-        codec_base = CODEC_STATS.snapshot()
-    points = run_net(sweep, profiler=profiler, obs=obs_options)
-    loop_label = points[0].loop if points else sweep.loop
-    print(net_table(points))
-    print()
-    print(headline(points))
-    if codec_base is not None:
-        from ..net.codec import CODEC_STATS
-
-        fallbacks = CODEC_STATS.hot_path_fallbacks(codec_base)
-        corrupt = CODEC_STATS.corrupt_frames - codec_base["corrupt_frames"]
-        if fallbacks:
-            detail = ", ".join(
-                f"{name} x{count}" for name, count in sorted(fallbacks.items())
-            )
-            print(f"codec     : HOT-PATH PICKLE FALLBACKS — {detail}")
-        else:
-            print("codec     : hot path clean (0 pickle fallbacks, "
-                  f"{corrupt} corrupt frames)")
-    if profiler is not None:
-        report = profiler.report()
-        if args.profile == "-":
-            print()
-            print(report)
-        else:
-            profiler.write(args.profile)
-            print(f"\nwrote profile to {args.profile}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(results_block(sweep, points, loop_label))
-        print(f"\nwrote {args.out}")
+def gates(_sweep: NetParams, points: List[NetPoint], _extra) -> List[str]:
     # A run where any cell lost messages to the deadline is not a valid
     # measurement — fail the invocation so CI notices.
     if any(p.completed < p.submitted for p in points):
-        print("error: some points timed out before completing", file=sys.stderr)
-        return 1
-    return 0
+        return ["some points timed out before completing"]
+    return []
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench-net",
-        description="TCP runtime throughput sweep over localhost sockets",
-    )
-    add_arguments(parser)
-    return run_main(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+BENCH = BenchSpec(
+    name="bench-net",
+    help="TCP runtime throughput sweep over localhost sockets "
+    "(codec/coalescing/procs wire-path axes)",
+    params=NetParams,
+    # One protocol, per-message vs ingress-batched.
+    quick=dict(
+        protocols=("wbcast",),
+        batch_sizes=(1,),
+        ingress_batches=(1, 16),
+        messages_per_session=60,
+        timeout=60.0,
+    ),
+    flags=dict(
+        out="also write the standard results block to FILE",
+        quick="CI smoke grid (wbcast only, tiny message counts)",
+        profile="cProfile each grid cell as its own phase and print per-phase "
+        "CPU attribution ('-' or no value: stdout; FILE: write there)",
+    ),
+    cells=cells,
+    run_cell=lambda sweep, cell: run_point(sweep, *cell),
+    phase=lambda cell: f"{cell[0]}/batch{cell[1]}/ingress{cell[2]}",
+    columns=COLUMNS,
+    title="TCP runtime sweep — localhost sockets, AmcastClient sessions",
+    headline=headline,
+    footer=codec_footer,
+    gates=gates,
+    header=(
+        "protocol x leader batch x ingress batch, closed-loop AmcastClient "
+        "sessions on localhost TCP",
+        "p95 is nearest-rank (bench.metrics.summarize_latencies); files "
+        "recorded before PR 12 used statistics.quantiles(n=20), exclusive",
+    ),
+    needs_network=True,
+)

@@ -20,33 +20,33 @@ over :class:`~repro.net.LocalCluster` sockets.  Every simulated history —
 including a lane-leader-crash run — is put through the linearizability
 checker; a run that fails it is not a measurement.
 
-Run ``python -m repro.bench.serving`` (or ``python -m repro
-bench-serving``); ``--quick`` is the CI smoke grid, ``--out FILE``
-writes the standard results block and ``--json FILE`` the machine-
-readable ``BENCH_serving.json`` via :mod:`repro.bench.export`.
+Run ``python -m repro bench-serving``; ``--quick`` is the CI smoke grid,
+``--out FILE`` writes the standard results block and ``--json FILE`` the
+machine-readable ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..config import ClusterConfig
+from ..failure.detector import MonitorOptions
+from ..obs import ObsOptions
 from ..protocols import PROTOCOLS
 from ..serving import TenantSpec, run_serving_workload
+from ..sim.faults import CrashSpec, FaultPlan
+from .driver import (
+    BenchSpec,
+    float_list,
+    int_list,
+    option,
+    positive_int,
+    seed_option,
+)
 from .metrics import summarize_latencies
 from .report import render_table
-from .sweep import (
-    QUICK_SERVING_READ_RATIOS,
-    QUICK_SERVING_SKEWS,
-    QUICK_SERVING_TENANTS,
-    SERVING_READ_RATIOS,
-    SERVING_SKEWS,
-    SERVING_TENANTS,
-    add_serving_axes,
-    serving_axes_from_args,
-)
+from .topologies import wan_site_config
 
 #: Admission cap per tenant in multi-tenant cells (writes in flight).
 TENANT_CAP = 8
@@ -81,57 +81,140 @@ class ServingPoint:
     #: Delivery ordering granularity this cell ran under ("total" or
     #: "keys"; the net smoke cell always runs total).
     conflict: str = "total"
+    #: With telemetry on: the per-tenant latency / SLO rows of this cell
+    #: (see :func:`tenant_rows`).
+    tenant_rows: Tuple[tuple, ...] = ()
 
 
-@dataclass
-class ServingSweepConfig:
-    protocol: str = "wbcast"
-    read_ratios: Sequence[float] = SERVING_READ_RATIOS
-    skews: Sequence[float] = SERVING_SKEWS
-    tenant_counts: Sequence[int] = SERVING_TENANTS
+@dataclass(frozen=True)
+class ServingParams:
+    """The sweep's grid; fields built with ``option`` are its flags."""
+
+    read_ratios: Tuple[float, ...] = option(
+        (0.5, 0.9, 0.99),
+        "--read-ratio",
+        type=float_list,
+        metavar="R[,R...]",
+        help="read-fraction axis (default: 0.5,0.9,0.99)",
+    )
+    skews: Tuple[float, ...] = option(
+        (0.0, 0.99),
+        "--skew",
+        type=float_list,
+        metavar="S[,S...]",
+        help="Zipf-exponent axis; 0 is uniform, 0.99 the classic hot-key "
+        "setting (default: 0.0,0.99)",
+    )
+    tenant_counts: Tuple[int, ...] = option(
+        (1, 4),
+        "--tenants",
+        type=int_list,
+        metavar="N[,N...]",
+        help="tenant-count axis: tenants carry DRR weights and admission "
+        "caps (default: 1,4)",
+    )
+    protocol: str = option(
+        "wbcast",
+        "--protocol",
+        choices=sorted(
+            name
+            for name, cls in PROTOCOLS.items()
+            if getattr(cls, "SUPPORTS_SHARDING", False) or name == "wbcast"
+        ),
+        default="wbcast",
+        help="protocol under the serving tier (default: wbcast)",
+    )
+    runtime: str = option(
+        "sim",
+        "--runtime",
+        choices=("sim", "net", "both"),
+        default="sim",
+        help="'sim' sweeps the grid on the simulator; 'net' drives serving "
+        "sessions over localhost TCP sockets; 'both' runs both",
+    )
+    sessions: int = option(
+        4,
+        "--sessions",
+        type=positive_int,
+        metavar="N",
+        also=("net_sessions",),
+        help="concurrent serving sessions (default: 4 sim, 2 net)",
+    )
+    ops_per_session: int = option(
+        120,
+        "--ops",
+        type=positive_int,
+        metavar="N",
+        also=("net_ops",),
+        help="ops per session (default: 120 sim, 40 net; 40 / 20 with --quick)",
+    )
+    #: Run the submit-path control arm per cell (the >=3x comparison).
+    compare_submit: bool = option(
+        True,
+        "--no-compare",
+        action="store_true",
+        convert=lambda v: not v,
+        help="skip the submit-path control arm (no speedup column)",
+    )
+    crash_run: bool = option(
+        True,
+        "--no-crash",
+        action="store_true",
+        convert=lambda v: not v,
+        help="skip the lane-leader-crash linearizability run",
+    )
+    #: The net smoke cell always runs total.
+    conflict: str = option(
+        "total",
+        "--conflict",
+        choices=("total", "keys"),
+        default="total",
+        help="delivery ordering granularity for the sim grid: total (the "
+        "paper, default) or keys (conflict-aware delivery — single-key "
+        "reads gate on their key's conflict domain; the net smoke cell "
+        "always runs total)",
+    )
+    seed: int = seed_option()
+    obs: bool = option(
+        False,
+        "--obs",
+        action="store_true",
+        help="instrument sim cells with the telemetry registry and print "
+        "per-tenant read/write latency histograms plus SLO-breach counts "
+        "(the control arm stays uninstrumented)",
+    )
+    #: Per-tenant latency targets in seconds (None: no SLO accounting);
+    #: setting either implies ``obs``.
+    read_slo: Optional[float] = option(
+        None,
+        "--read-slo",
+        type=float,
+        metavar="SECS",
+        help="per-tenant read latency SLO target in seconds; completions "
+        "above it count as breaches in the per-tenant report",
+    )
+    write_slo: Optional[float] = option(
+        None,
+        "--write-slo",
+        type=float,
+        metavar="SECS",
+        help="per-tenant write latency SLO target in seconds",
+    )
     num_groups: int = 2
     group_size: int = 3
-    sessions: int = 4
-    ops_per_session: int = 120
     window: int = 2
     num_keys: int = 64
     shards_per_group: int = 1
     #: Read fallback timer; generous against the WAN grid's ordering
     #: rounds so it only ever fires for genuinely silent replicas.
     read_timeout: float = 0.5
-    #: Run the submit-path control arm per cell (the >=3x comparison).
-    compare_submit: bool = True
-    runtime: str = "sim"
     #: Net smoke cell size (wall-clock runs stay small).
     net_sessions: int = 2
     net_ops: int = 40
-    seed: int = 42
-    #: Delivery ordering granularity for the sim grid: "total" (the
-    #: paper) or "keys" (conflict-aware delivery — single-key reads gate
-    #: on their key's conflict domain instead of the global watermark).
-    #: The net smoke cell always runs total.
-    conflict: str = "total"
-    #: Instrument sim cells with the telemetry registry and report
-    #: per-tenant read/write latency histograms and SLO breach counts.
-    obs: bool = False
-    #: Per-tenant latency targets in seconds (None: no SLO accounting).
-    read_slo: Optional[float] = None
-    write_slo: Optional[float] = None
 
-
-def default_sweep() -> ServingSweepConfig:
-    return ServingSweepConfig()
-
-
-def quick_sweep() -> ServingSweepConfig:
-    """CI smoke: the 90%-read headline mix, uniform + hot-key skew."""
-    return ServingSweepConfig(
-        read_ratios=QUICK_SERVING_READ_RATIOS,
-        skews=QUICK_SERVING_SKEWS,
-        tenant_counts=QUICK_SERVING_TENANTS,
-        ops_per_session=40,
-        net_ops=20,
-    )
+    @property
+    def instrumented(self) -> bool:
+        return self.obs or self.read_slo is not None or self.write_slo is not None
 
 
 def tenant_specs(
@@ -153,53 +236,24 @@ def tenant_specs(
     )
 
 
-def _serving_config(sweep: ServingSweepConfig):
-    """The grid's deployment geometry: the WAN testbed with site placement.
-
-    Sessions are spread over the three data centres and the cluster
-    config carries a site :class:`~repro.placement.PlacementPolicy`, so
-    every session reads its co-sited replica (intra-DC hop) while the
-    submit path pays real WAN ordering rounds — the Benz-et-al. global
-    serving shape the read-at-watermark path exists for.
-    """
-    import dataclasses
-
-    from ..config import ClusterConfig
-    from ..placement import PlacementPolicy
-    from .topologies import wan_site_map, wan_testbed
-
-    config = ClusterConfig.build(
-        sweep.num_groups,
-        sweep.group_size,
-        sweep.sessions,
-        shards_per_group=sweep.shards_per_group,
-        conflict=sweep.conflict,
-    )
-    sites = wan_site_map(config, spread_clients=True)
-    config = dataclasses.replace(
-        config,
-        placement=PlacementPolicy(
-            mode="site", sites=tuple(sorted(sites.items())), overlay="direct"
-        ),
-    )
-    return config, wan_testbed(config, site_map=sites)
-
-
-def _run_arm(
-    sweep: ServingSweepConfig,
+def run_wan_arm(
+    sweep: Any,
     read_ratio: float,
     skew: float,
-    tenants: int,
-    prefer_local: bool,
+    shards: int,
+    conflict: str,
+    window: int,
+    **workload_kwargs: Any,
 ):
-    config, network = _serving_config(sweep)
-    obs = None
-    if sweep.obs and prefer_local:
-        # Only the measured arm is instrumented; the control arm stays
-        # bare so its throughput is the uninstrumented reference.
-        from ..obs import ObsOptions
-
-        obs = ObsOptions(enabled=True)
+    """One serving run on the WAN site geometry (:func:`wan_site_config`)
+    — the Benz-et-al. global serving shape: every session reads its
+    co-sited replica (intra-DC hop) while the submit path pays real WAN
+    ordering rounds.  ``sweep`` is the serving or conflict bench's params
+    (cluster shape, sizing, seed); shared by both benches."""
+    config, network = wan_site_config(
+        sweep.num_groups, sweep.group_size, sweep.sessions,
+        shards_per_group=shards, conflict=conflict,
+    )
     return run_serving_workload(
         PROTOCOLS[sweep.protocol],
         config=config,
@@ -209,10 +263,7 @@ def _run_arm(
         read_ratio=read_ratio,
         skew=skew,
         num_keys=sweep.num_keys,
-        tenants=tenant_specs(tenants, sweep.read_slo, sweep.write_slo),
-        obs=obs,
-        window=sweep.window,
-        prefer_local=prefer_local,
+        window=window,
         read_timeout=sweep.read_timeout,
         # Park not-yet-fresh reads at the replica past a WAN round: the
         # covering delivery is already in flight, so no fallback fires
@@ -221,24 +272,30 @@ def _run_arm(
         seed=sweep.seed,
         drain_grace=0.5,
         attach_genuineness=True,
+        **workload_kwargs,
+    )
+
+
+def _run_arm(
+    sweep: ServingParams, read_ratio: float, skew: float, tenants: int, prefer_local: bool
+):
+    return run_wan_arm(
+        sweep, read_ratio, skew, sweep.shards_per_group, sweep.conflict, sweep.window,
+        tenants=tenant_specs(tenants, sweep.read_slo, sweep.write_slo),
+        prefer_local=prefer_local,
+        # Only the measured arm is instrumented; the control arm stays
+        # bare so its throughput is the uninstrumented reference.
+        obs=ObsOptions(enabled=True) if sweep.instrumented and prefer_local else None,
     )
 
 
 def run_sim_point(
-    sweep: ServingSweepConfig,
+    sweep: ServingParams,
     read_ratio: float,
     skew: float,
     tenants: int,
-    telemetries: Optional[List[Tuple[str, Any]]] = None,
 ) -> ServingPoint:
     result = _run_arm(sweep, read_ratio, skew, tenants, prefer_local=True)
-    if telemetries is not None and result.telemetry is not None:
-        telemetries.append(
-            (
-                f"reads={read_ratio:.2f} skew={skew:.2f} tenants={tenants}",
-                result.telemetry,
-            )
-        )
     checks = result.check() + result.genuineness.check()
     lin = result.check_serving()
     summary = summarize_latencies(result.read_latencies())
@@ -269,23 +326,24 @@ def run_sim_point(
         checks_ok=all(c.ok for c in checks),
         linearizable=all(c.ok for c in lin),
         conflict=sweep.conflict,
+        tenant_rows=tenant_rows(result.telemetry) if result.telemetry else (),
     )
 
 
-def run_crash_point(sweep: ServingSweepConfig) -> Dict[str, Any]:
-    """Lane-leader crash under a sharded 90%-read mix: reads must fall
-    back (never return stale data) and the full history must still pass
-    the linearizability checker — the acceptance criterion's crash run."""
-    from ..config import ClusterConfig
-    from ..failure.detector import MonitorOptions
-    from ..sim.faults import CrashSpec, FaultPlan
-
+def run_crash_point(
+    sweep: Any, shards: int, conflict: str, read_ratio: float, skew: float
+) -> Dict[str, Any]:
+    """Crash lane 0's leader of group 0 under a sharded serving mix: reads
+    must fall back (never return stale data) and the full history must
+    still pass the amcast and linearizability checkers through the lane
+    takeover.  ``sweep`` is the serving or conflict bench's params — the
+    one crash run of both benches."""
     config = ClusterConfig.build(
         sweep.num_groups,
         sweep.group_size,
         sweep.sessions,
-        shards_per_group=max(2, sweep.shards_per_group),
-        conflict=sweep.conflict,
+        shards_per_group=shards,
+        conflict=conflict,
     )
     victim = config.lane_leader(0, 0)
     result = run_serving_workload(
@@ -293,8 +351,8 @@ def run_crash_point(sweep: ServingSweepConfig) -> Dict[str, Any]:
         config=config,
         num_sessions=sweep.sessions,
         ops_per_session=max(20, sweep.ops_per_session // 3),
-        read_ratio=0.9,
-        skew=0.0,
+        read_ratio=read_ratio,
+        skew=skew,
         num_keys=sweep.num_keys,
         window=1,
         read_timeout=0.02,
@@ -312,8 +370,9 @@ def run_crash_point(sweep: ServingSweepConfig) -> Dict[str, Any]:
     lin = result.check_serving()
     return {
         "crashed_pid": victim,
-        "shards_per_group": config.shards_per_group,
+        "shards_per_group": shards,
         "ops": result.ops_completed,
+        "writes": result.writes_completed,
         "reads_local": result.reads_local,
         "reads_fallback": result.reads_fallback,
         "checks_ok": all(c.ok for c in checks),
@@ -322,7 +381,16 @@ def run_crash_point(sweep: ServingSweepConfig) -> Dict[str, Any]:
     }
 
 
-def run_net_point(sweep: ServingSweepConfig, read_ratio: float) -> ServingPoint:
+def serving_crash_run(sweep: ServingParams, _points=None) -> Optional[Dict[str, Any]]:
+    """The acceptance criterion's crash run: a sharded 90%-read mix."""
+    if not sweep.crash_run or sweep.runtime == "net":
+        return None
+    return run_crash_point(
+        sweep, max(2, sweep.shards_per_group), sweep.conflict, read_ratio=0.9, skew=0.0
+    )
+
+
+def run_net_point(sweep: ServingParams, read_ratio: float) -> ServingPoint:
     """TCP smoke cell: serving sessions over LocalCluster sockets."""
     import asyncio
     import random
@@ -331,7 +399,6 @@ def run_net_point(sweep: ServingSweepConfig, read_ratio: float) -> ServingPoint:
     from ..checking import check_all
     from ..checking.linearizability import check_linearizability, serving_records
     from ..client import AmcastClientOptions
-    from ..config import ClusterConfig
     from ..net import LocalCluster
     from ..serving import ServingSession, ZipfianKeys, attach_kv_replicas
 
@@ -412,126 +479,116 @@ def run_net_point(sweep: ServingSweepConfig, read_ratio: float) -> ServingPoint:
     )
 
 
-def run_serving(
-    sweep: Optional[ServingSweepConfig] = None,
-    telemetries: Optional[List[Tuple[str, Any]]] = None,
-) -> List[ServingPoint]:
-    sweep = sweep or default_sweep()
-    points: List[ServingPoint] = []
+def cells(sweep: ServingParams) -> Iterator[Tuple]:
     if sweep.runtime in ("sim", "both"):
         for read_ratio in sweep.read_ratios:
             for skew in sweep.skews:
                 for tenants in sweep.tenant_counts:
-                    points.append(
-                        run_sim_point(
-                            sweep, read_ratio, skew, tenants,
-                            telemetries=telemetries,
-                        )
-                    )
+                    yield "sim", read_ratio, skew, tenants
     if sweep.runtime in ("net", "both"):
         for read_ratio in sweep.read_ratios:
-            points.append(run_net_point(sweep, read_ratio))
-    return points
+            yield "net", read_ratio
+
+
+def run_cell(sweep: ServingParams, cell: Tuple) -> ServingPoint:
+    runtime, *axes = cell
+    return (run_sim_point if runtime == "sim" else run_net_point)(sweep, *axes)
 
 
 # -- reporting ----------------------------------------------------------------
 
 
-def serving_table(points: List[ServingPoint]) -> str:
-    rows = [
-        (
-            p.runtime,
-            f"{p.read_ratio:.2f}",
-            f"{p.skew:.2f}",
-            p.tenants,
-            f"{p.reads_local}/{p.reads_fallback}",
-            p.writes,
-            p.throughput,
-            p.submit_throughput,
-            f"{p.speedup:.1f}x" if p.speedup == p.speedup else "-",
-            "-" if p.read_ordering is None else p.read_ordering,
-            p.mean_read_ms,
-            p.p95_read_ms,
-            "ok" if p.checks_ok and p.linearizable else "FAIL",
-        )
-        for p in points
-    ]
-    return render_table(
-        [
-            "runtime",
-            "reads",
-            "skew",
-            "tenants",
-            "local/fallback",
-            "writes",
-            "ops/s",
-            "submit ops/s",
-            "speedup",
-            "read-order msgs",
-            "mean read (ms)",
-            "p95 read (ms)",
-            "checks",
-        ],
-        rows,
-        title="Serving sweep — read-at-watermark vs submit-path reads"
-        + (
-            " (conflict=keys)"
-            if any(p.conflict == "keys" for p in points)
-            else ""
-        ),
+def table_title(_sweep: ServingParams, points: List[ServingPoint]) -> str:
+    keys = any(p.conflict == "keys" for p in points)
+    return "Serving sweep — read-at-watermark vs submit-path reads" + (
+        " (conflict=keys)" if keys else ""
     )
 
 
-def tenant_report(telemetries: List[Tuple[str, Any]]) -> str:
-    """Per-tenant read/write latency and SLO-breach table (the ROADMAP's
-    per-tenant SLO accounting, first leg), one block per instrumented
-    multi-tenant grid cell."""
-    blocks = []
-    for label, telemetry in telemetries:
-        reg = telemetry.registry
-        reads = {dict(h.labels)["tenant"]: h
-                 for h in reg.histograms("tenant_read_latency_seconds")}
-        writes = {dict(h.labels)["tenant"]: h
-                  for h in reg.histograms("tenant_write_latency_seconds")}
-        names = sorted(set(reads) | set(writes))
-        if not names:
-            continue
-        rows = []
-        for t in names:
-            r, w = reads.get(t), writes.get(t)
-            rows.append(
-                (
-                    t,
-                    r.count if r else 0,
-                    r.quantile(0.5) * 1000 if r else float("nan"),
-                    r.quantile(0.95) * 1000 if r else float("nan"),
-                    w.count if w else 0,
-                    w.quantile(0.5) * 1000 if w else float("nan"),
-                    w.quantile(0.95) * 1000 if w else float("nan"),
-                    reg.counter_total("tenant_slo_breaches_total",
-                                      tenant=t, op="read"),
-                    reg.counter_total("tenant_slo_breaches_total",
-                                      tenant=t, op="write"),
-                )
-            )
-        blocks.append(
-            render_table(
-                [
-                    "tenant",
-                    "reads",
-                    "read p50 (ms)",
-                    "read p95 (ms)",
-                    "writes",
-                    "write p50 (ms)",
-                    "write p95 (ms)",
-                    "read SLO misses",
-                    "write SLO misses",
-                ],
-                rows,
-                title=f"Per-tenant latency / SLO — {label}",
+COLUMNS = (
+    ("runtime", lambda p: p.runtime),
+    ("reads", lambda p: f"{p.read_ratio:.2f}"),
+    ("skew", lambda p: f"{p.skew:.2f}"),
+    ("tenants", lambda p: p.tenants),
+    ("local/fallback", lambda p: f"{p.reads_local}/{p.reads_fallback}"),
+    ("writes", lambda p: p.writes),
+    ("ops/s", lambda p: p.throughput),
+    ("submit ops/s", lambda p: p.submit_throughput),
+    ("speedup", lambda p: f"{p.speedup:.1f}x" if p.speedup == p.speedup else "-"),
+    ("read-order msgs", lambda p: "-" if p.read_ordering is None else p.read_ordering),
+    ("mean read (ms)", lambda p: p.mean_read_ms),
+    ("p95 read (ms)", lambda p: p.p95_read_ms),
+    ("checks", lambda p: "ok" if p.checks_ok and p.linearizable else "FAIL"),
+)
+
+
+def tenant_rows(telemetry: Any) -> Tuple[tuple, ...]:
+    """Per-tenant read/write latency and SLO-breach rows of one
+    instrumented cell (the ROADMAP's per-tenant SLO accounting, first
+    leg); empty for single-tenant cells."""
+    reg = telemetry.registry
+    reads = {dict(h.labels)["tenant"]: h
+             for h in reg.histograms("tenant_read_latency_seconds")}
+    writes = {dict(h.labels)["tenant"]: h
+              for h in reg.histograms("tenant_write_latency_seconds")}
+    rows = []
+    for t in sorted(set(reads) | set(writes)):
+        r, w = reads.get(t), writes.get(t)
+        rows.append(
+            (
+                t,
+                r.count if r else 0,
+                r.quantile(0.5) * 1000 if r else float("nan"),
+                r.quantile(0.95) * 1000 if r else float("nan"),
+                w.count if w else 0,
+                w.quantile(0.5) * 1000 if w else float("nan"),
+                w.quantile(0.95) * 1000 if w else float("nan"),
+                reg.counter_total("tenant_slo_breaches_total", tenant=t, op="read"),
+                reg.counter_total("tenant_slo_breaches_total", tenant=t, op="write"),
             )
         )
-    return "\n\n".join(blocks)
+    return tuple(rows)
+
+
+TENANT_COLUMNS = [
+    "tenant",
+    "reads",
+    "read p50 (ms)",
+    "read p95 (ms)",
+    "writes",
+    "write p50 (ms)",
+    "write p95 (ms)",
+    "read SLO misses",
+    "write SLO misses",
+]
+
+
+def footer(
+    _sweep: ServingParams, points: List[ServingPoint], crash: Optional[Dict[str, Any]]
+) -> List[str]:
+    """One per-tenant table per instrumented cell, then the crash run."""
+    lines = []
+    for p in points:
+        if p.tenant_rows:
+            label = f"reads={p.read_ratio:.2f} skew={p.skew:.2f} tenants={p.tenants}"
+            lines += [
+                "",
+                render_table(
+                    TENANT_COLUMNS,
+                    p.tenant_rows,
+                    title=f"Per-tenant latency / SLO — {label}",
+                ),
+            ]
+    if crash is not None:
+        verdict = (
+            "linearizable" if crash["linearizable"] and crash["checks_ok"] else "FAILED"
+        )
+        lines.append(
+            f"lane-leader crash (pid {crash['crashed_pid']}): "
+            f"{crash['reads_local']} local / {crash['reads_fallback']} "
+            f"fallback reads, history {verdict}"
+        )
+    return lines
 
 
 def headline_point(points: List[ServingPoint]) -> Optional[ServingPoint]:
@@ -565,70 +622,15 @@ def headline(points: List[ServingPoint]) -> str:
     return "\n".join(lines)
 
 
-def results_block(
-    sweep: ServingSweepConfig,
-    points: List[ServingPoint],
-    crash: Optional[Dict[str, Any]],
-) -> str:
-    header = [
-        "# Serving sweep (bench-serving): read-at-watermark local reads vs "
-        "submit-path reads",
-        f"# topology: {sweep.num_groups} groups x {sweep.group_size} members "
-        "on the WAN testbed (3 DCs, site placement, sessions spread over DCs), "
-        f"{sweep.sessions} sessions x window {sweep.window}, "
-        f"{sweep.ops_per_session} ops/session, {sweep.num_keys} keys",
-        f"# axes: read_ratio={list(sweep.read_ratios)} skew={list(sweep.skews)} "
-        f"tenants={list(sweep.tenant_counts)} (tenant cap {TENANT_CAP})",
-        f"# cli: python -m repro bench-serving --runtime {sweep.runtime}",
-        "",
-    ]
-    block = "\n".join(header) + serving_table(points) + "\n\n" + headline(points)
-    if crash is not None:
-        verdict = (
-            "linearizable" if crash["linearizable"] and crash["checks_ok"] else "FAILED"
-        )
-        block += (
-            f"\nlane-leader crash (pid {crash['crashed_pid']}, "
-            f"{crash['shards_per_group']} lanes/group): "
-            f"{crash['reads_local']} local / {crash['reads_fallback']} fallback "
-            f"reads, history {verdict}"
-        )
-    return block + "\n"
-
-
-def json_payload(
-    sweep: ServingSweepConfig,
+def payload(
+    _sweep: ServingParams,
     points: List[ServingPoint],
     crash: Optional[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """The BENCH_serving.json artifact (NaNs rendered as None)."""
-
-    def clean(value: Any) -> Any:
-        if isinstance(value, float) and value != value:
-            return None
-        return value
-
+    """What BENCH_serving.json records beyond the grid and its points."""
     head = headline_point(points)
     return {
-        "bench": "serving",
-        "grid": {
-            "protocol": sweep.protocol,
-            "num_groups": sweep.num_groups,
-            "group_size": sweep.group_size,
-            "sessions": sweep.sessions,
-            "ops_per_session": sweep.ops_per_session,
-            "window": sweep.window,
-            "num_keys": sweep.num_keys,
-            "read_ratios": list(sweep.read_ratios),
-            "skews": list(sweep.skews),
-            "tenant_counts": list(sweep.tenant_counts),
-            "tenant_cap": TENANT_CAP,
-            "seed": sweep.seed,
-            "conflict": sweep.conflict,
-        },
-        "points": [
-            {k: clean(v) for k, v in asdict(p).items()} for p in points
-        ],
+        "tenant_cap": TENANT_CAP,
         "crash_run": crash,
         "headline": None
         if head is None
@@ -637,17 +639,33 @@ def json_payload(
             "reads_local": head.reads_local,
             "reads_fallback": head.reads_fallback,
             "read_ordering_messages": head.read_ordering,
-            "speedup_vs_submit": clean(head.speedup),
+            "speedup_vs_submit": head.speedup,
             "throughput": head.throughput,
-            "submit_throughput": clean(head.submit_throughput),
+            "submit_throughput": head.submit_throughput,
             "linearizable": all(p.linearizable for p in points)
             and (crash is None or crash["linearizable"]),
         },
     }
 
 
+def checker_failures(
+    points: List[Any], crash: Optional[Dict[str, Any]], cell_label
+) -> List[str]:
+    """Every cell's amcast and linearizability checkers, and the crash
+    run's, as gate failures (shared with the conflict bench)."""
+    failures: List[str] = []
+    for p in points:
+        if not p.checks_ok:
+            failures.append(f"amcast checks failed: {cell_label(p)}")
+        if not p.linearizable:
+            failures.append(f"linearizability failed: {cell_label(p)}")
+    if crash is not None and not (crash["linearizable"] and crash["checks_ok"]):
+        failures.append(f"crash run failed: {crash['failed_checks']}")
+    return failures
+
+
 def acceptance_failures(
-    points: List[ServingPoint], crash: Optional[Dict[str, Any]]
+    _sweep: Any, points: List[ServingPoint], crash: Optional[Dict[str, Any]]
 ) -> List[str]:
     """The recorded-run gates: zero read-attributable ordering traffic at
     the headline mix, >=3x over the submit path, every history linearizable."""
@@ -660,205 +678,40 @@ def acceptance_failures(
             )
         if head.speedup == head.speedup and head.speedup < 3.0:
             failures.append(f"headline speedup {head.speedup:.2f}x < 3x")
-    for p in points:
-        if not p.checks_ok:
-            failures.append(f"amcast checks failed: {p.runtime} cell {p.read_ratio}")
-        if not p.linearizable:
-            failures.append(
-                f"linearizability failed: {p.runtime} cell {p.read_ratio}"
-            )
-    if crash is not None and not (crash["linearizable"] and crash["checks_ok"]):
-        failures.append(f"crash run failed: {crash['failed_checks']}")
-    return failures
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sweep's options — shared with the ``repro`` CLI subcommand."""
-    add_serving_axes(parser)
-    parser.add_argument(
-        "--protocol",
-        choices=sorted(
-            name
-            for name, cls in PROTOCOLS.items()
-            if getattr(cls, "SUPPORTS_SHARDING", False) or name == "wbcast"
-        ),
-        default="wbcast",
-        help="protocol under the serving tier (default: wbcast)",
-    )
-    parser.add_argument(
-        "--runtime",
-        choices=("sim", "net", "both"),
-        default="sim",
-        help="'sim' sweeps the grid on the simulator; 'net' drives serving "
-        "sessions over localhost TCP sockets; 'both' runs both",
-    )
-    parser.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="concurrent serving sessions (default: 4 sim, 2 net)",
-    )
-    parser.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        metavar="N",
-        help="ops per session (default: 120; 40 with --quick)",
-    )
-    parser.add_argument(
-        "--no-compare",
-        action="store_true",
-        help="skip the submit-path control arm (no speedup column)",
-    )
-    parser.add_argument(
-        "--no-crash",
-        action="store_true",
-        help="skip the lane-leader-crash linearizability run",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the standard results block to FILE",
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="also write the machine-readable BENCH_serving.json to FILE",
-    )
-    parser.add_argument(
-        "--conflict",
-        choices=("total", "keys"),
-        default="total",
-        help="delivery ordering granularity for the sim grid: total (the "
-        "paper, default) or keys (conflict-aware delivery — single-key "
-        "reads gate on their key's conflict domain; the net smoke cell "
-        "always runs total)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="workload seed (default: 42)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke grid (90%% reads, two skews, one tenant pair)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="instrument sim cells with the telemetry registry and print "
-        "per-tenant read/write latency histograms plus SLO-breach counts "
-        "(the control arm stays uninstrumented)",
-    )
-    parser.add_argument(
-        "--read-slo",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-tenant read latency SLO target in seconds; completions "
-        "above it count as breaches in the per-tenant report",
-    )
-    parser.add_argument(
-        "--write-slo",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-tenant write latency SLO target in seconds",
+    return failures + checker_failures(
+        points, crash, lambda p: f"{p.runtime} cell {p.read_ratio}"
     )
 
 
-def sweep_from_args(args: argparse.Namespace) -> ServingSweepConfig:
-    sweep = quick_sweep() if args.quick else default_sweep()
-    read_ratios, skews, tenants = serving_axes_from_args(args, quick=args.quick)
-    sweep = replace(
-        sweep,
-        protocol=args.protocol,
-        read_ratios=read_ratios,
-        skews=skews,
-        tenant_counts=tenants,
-        runtime=args.runtime,
-        compare_submit=not args.no_compare,
-        conflict=getattr(args, "conflict", "total"),
-        obs=getattr(args, "obs", False)
-        or getattr(args, "read_slo", None) is not None
-        or getattr(args, "write_slo", None) is not None,
-        read_slo=getattr(args, "read_slo", None),
-        write_slo=getattr(args, "write_slo", None),
-    )
-    if args.sessions is not None:
-        sweep = replace(
-            sweep,
-            sessions=max(1, args.sessions),
-            net_sessions=max(1, args.sessions),
-        )
-    if args.ops is not None:
-        sweep = replace(
-            sweep,
-            ops_per_session=max(1, args.ops),
-            net_ops=max(1, args.ops),
-        )
-    if args.seed is not None:
-        sweep = replace(sweep, seed=args.seed)
-    return sweep
-
-
-def run_main(args: argparse.Namespace) -> int:
-    sweep = sweep_from_args(args)
-    telemetries: Optional[List[Tuple[str, Any]]] = [] if sweep.obs else None
-    points = run_serving(sweep, telemetries=telemetries)
-    crash = None
-    if not args.no_crash and sweep.runtime in ("sim", "both"):
-        crash = run_crash_point(sweep)
-    print(serving_table(points))
-    print()
-    print(headline(points))
-    if telemetries:
-        report = tenant_report(telemetries)
-        if report:
-            print()
-            print(report)
-    if crash is not None:
-        verdict = (
-            "linearizable" if crash["linearizable"] and crash["checks_ok"] else "FAILED"
-        )
-        print(
-            f"lane-leader crash (pid {crash['crashed_pid']}): "
-            f"{crash['reads_local']} local / {crash['reads_fallback']} "
-            f"fallback reads, history {verdict}"
-        )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(results_block(sweep, points, crash))
-        print(f"\nwrote {args.out}")
-    if args.json:
-        from .export import write_json
-
-        write_json(json_payload(sweep, points, crash), args.json)
-        print(f"wrote {args.json}")
-    failures = acceptance_failures(points, crash)
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench-serving",
-        description="serving-tier sweep: read-at-watermark local reads vs "
-        "submit-path reads (read-ratio x skew x tenants)",
-    )
-    add_arguments(parser)
-    return run_main(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+BENCH = BenchSpec(
+    name="bench-serving",
+    help="serving-tier sweep: read-at-watermark local reads vs "
+    "submit-path reads (read-ratio x skew x tenants axes)",
+    params=ServingParams,
+    # The 90%-read headline mix, uniform + hot-key skew, one tenant pair.
+    quick=dict(
+        read_ratios=(0.9,),
+        skews=(0.0, 0.99),
+        tenant_counts=(2,),
+        ops_per_session=40,
+        net_ops=20,
+    ),
+    flags=dict(
+        out="also write the standard results block to FILE",
+        json="also write the machine-readable BENCH_serving.json to FILE",
+        quick="CI smoke grid (90%% reads, two skews, one tenant pair)",
+    ),
+    cells=cells,
+    run_cell=run_cell,
+    columns=COLUMNS,
+    title=table_title,
+    headline=headline,
+    extra=serving_crash_run,
+    footer=footer,
+    gates=acceptance_failures,
+    payload=payload,
+    header=(
+        "sim cells run on the WAN testbed (3 DCs, site placement, sessions "
+        f"spread over DCs); tenant admission cap {TENANT_CAP} writes in flight",
+    ),
+)

@@ -10,16 +10,17 @@ improvement over FastCast at the largest client count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import BatchingOptions, ClusterConfig
+from ..protocols import FastCastProcess, FtSkeenProcess, WbCastProcess
 from ..sim import UniformCpu
 from ..sim.network import DelayModel
 from ..workload import ClientOptions
+from .driver import BenchSpec, full_sweep_enabled
 from .harness import run_workload
-from .metrics import summarize_latencies
+from .metrics import mean_split, summarize_latencies
 from .report import render_table
 
 #: Default CPU service time per handled message, calibrated so a 10-group
@@ -53,136 +54,56 @@ class SweepConfig:
     cpu_jitter: float = 0.1
     network_jitter: float = 0.05
     seed: int = 42
-    #: Leader-side batching knobs, applied to protocols that support them
-    #: (None: the paper's per-message protocol everywhere).
-    batching: Optional[BatchingOptions] = None
     #: Outstanding multicasts per closed-loop client (1 = paper's loop).
     client_window: int = 1
-    #: Client-side ingress coalescing knobs (None: one MULTICAST per
-    #: message, the paper's wire protocol).
-    ingress: Optional[BatchingOptions] = None
-    #: Ordering lanes per group (1 = the paper's single leader; honoured
-    #: by protocols declaring SUPPORTS_SHARDING, ignored by the rest).
-    shards_per_group: int = 1
-    #: Pre-built protocol options instance (e.g. a ``WbCastOptions`` with
-    #: topology-derived probe/advance pacing); the harness folds
-    #: ``batching`` on top, so both knobs compose.  None: the protocol's
-    #: defaults.
-    protocol_options: Optional[object] = None
-    #: Post-build hook on the cluster config (e.g. attaching a placement
-    #: policy whose site map must match the topology factory's).
-    config_hook: Optional[Callable[[ClusterConfig], ClusterConfig]] = None
-    #: Delivery ordering granularity: "total" (the paper) or "keys"
-    #: (conflict-aware delivery — commuting messages skip the cross-lane
-    #: merge wait; wbcast only).
-    conflict: str = "total"
     #: With conflict="keys": clients stamp each submission with one key
     #: drawn uniformly from a universe of this size (0: no footprints —
     #: every message is a fence and keys mode degenerates to total).
     key_universe: int = 0
 
 
-def full_sweep_enabled() -> bool:
-    """Opt into the larger parameter grid via REPRO_BENCH_FULL=1."""
-    return os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-
-
-# -- serving-tier axes (bench-serving) ---------------------------------------
-#
-# The serving bench sweeps read-ratio x skew x tenants; the axes live here
-# next to the client-sweep machinery so every bench parses and bounds them
-# the same way (--quick stays a fixed small grid, never a user-sized one).
-
-SERVING_READ_RATIOS = (0.5, 0.9, 0.99)
-SERVING_SKEWS = (0.0, 0.99)
-SERVING_TENANTS = (1, 4)
-QUICK_SERVING_READ_RATIOS = (0.9,)
-QUICK_SERVING_SKEWS = (0.0, 0.99)
-QUICK_SERVING_TENANTS = (2,)
-
-
-def float_list(text: str) -> tuple:
-    """argparse type: comma-separated floats (``0.5,0.9,0.99``)."""
-    import argparse
-
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated float list: {text!r}"
-        ) from exc
-
-
-def int_list(text: str) -> tuple:
-    """argparse type: comma-separated positive ints (``1,4``)."""
-    import argparse
-
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated int list: {text!r}"
-        ) from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be >= 1, got {text!r}")
-    return values
-
-
-def add_serving_axes(parser) -> None:
-    """The read-ratio / skew / tenants axis options, shared by benches."""
-    parser.add_argument(
-        "--read-ratio",
-        type=float_list,
-        default=None,
-        metavar="R[,R...]",
-        help=f"read-fraction axis (default: {','.join(map(str, SERVING_READ_RATIOS))})",
-    )
-    parser.add_argument(
-        "--skew",
-        type=float_list,
-        default=None,
-        metavar="S[,S...]",
-        help="Zipf-exponent axis; 0 is uniform, 0.99 the classic hot-key "
-        f"setting (default: {','.join(map(str, SERVING_SKEWS))})",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int_list,
-        default=None,
-        metavar="N[,N...]",
-        help="tenant-count axis: tenants carry DRR weights and admission "
-        f"caps (default: {','.join(map(str, SERVING_TENANTS))})",
-    )
-
-
-def serving_axes_from_args(args, quick: bool = False):
-    """Resolve the three serving axes: explicit flags beat the grid default."""
-    read_ratios = args.read_ratio or (
-        QUICK_SERVING_READ_RATIOS if quick else SERVING_READ_RATIOS
-    )
-    skews = args.skew if args.skew is not None else (
-        QUICK_SERVING_SKEWS if quick else SERVING_SKEWS
-    )
-    tenants = args.tenants or (QUICK_SERVING_TENANTS if quick else SERVING_TENANTS)
-    return read_ratios, skews, tenants
-
-
 def run_point(
     protocol_cls,
     topology_factory: Callable[[ClusterConfig], DelayModel],
-    sweep: SweepConfig,
+    sweep: Any,
     dest_k: int,
     clients: int,
+    batching: Optional[BatchingOptions] = None,
+    ingress: Optional[BatchingOptions] = None,
+    shards_per_group: int = 1,
+    protocol_options: Optional[object] = None,
+    config_hook: Optional[Callable[[ClusterConfig], ClusterConfig]] = None,
+    conflict: str = "total",
 ) -> SweepPoint:
+    """One measurement.  ``sweep`` supplies the grid-wide sizing (a
+    :class:`SweepConfig`, or any params object with its fields); the
+    keyword knobs are what a bench may vary cell by cell:
+
+    * ``batching`` — leader-side batching, applied to protocols that
+      support it (None: the paper's per-message protocol everywhere);
+    * ``ingress`` — client-side ingress coalescing (None: one MULTICAST
+      per message, the paper's wire protocol);
+    * ``shards_per_group`` — ordering lanes per group (honoured by
+      protocols declaring SUPPORTS_SHARDING, ignored by the rest);
+    * ``protocol_options`` — a pre-built options instance (e.g. a
+      ``WbCastOptions`` with topology-derived probe/advance pacing); the
+      harness folds ``batching`` on top, so both knobs compose;
+    * ``config_hook`` — post-build hook on the cluster config (e.g.
+      attaching a placement policy whose site map must match the
+      topology factory's);
+    * ``conflict`` — "total" (the paper) or "keys" (conflict-aware
+      delivery — commuting messages skip the cross-lane merge wait;
+      wbcast only).
+    """
     config = ClusterConfig.build(
         sweep.num_groups,
         sweep.group_size,
         clients,
-        shards_per_group=sweep.shards_per_group,
-        conflict=sweep.conflict,
+        shards_per_group=shards_per_group,
+        conflict=conflict,
     )
-    if sweep.config_hook is not None:
-        config = sweep.config_hook(config)
+    if config_hook is not None:
+        config = config_hook(config)
     network = topology_factory(config)
     cpu = UniformCpu(sweep.cpu_cost, jitter=sweep.cpu_jitter)
     result = run_workload(
@@ -193,20 +114,18 @@ def run_point(
         network=network,
         seed=sweep.seed,
         cpu=cpu,
-        protocol_options=sweep.protocol_options,
+        protocol_options=protocol_options,
         client_options=ClientOptions(
             num_messages=sweep.messages_per_client,
             window=sweep.client_window,
-            ingress=sweep.ingress,
-            key_universe=sweep.key_universe if sweep.conflict == "keys" else 0,
+            ingress=ingress,
+            key_universe=sweep.key_universe if conflict == "keys" else 0,
         ),
-        batching=sweep.batching,
+        batching=batching,
         record_sends=False,
         drain_grace=0.0,
     )
     summary = summarize_latencies(result.latencies())
-    from .metrics import mean_split
-
     ack_mean, post_ack_mean = mean_split(result.latency_split())
     return SweepPoint(
         protocol=protocol_cls.__name__,
@@ -275,3 +194,39 @@ def headline_comparison(points: List[SweepPoint]) -> str:
             f"latency {lat_gain:+.0f}%, throughput {thr_gain:+.0f}%"
         )
     return "\n".join(lines)
+
+
+#: The protocols of the paper's Figs. 7-8.
+FIGURE_PROTOCOLS: Dict[str, type] = {
+    "wbcast": WbCastProcess,
+    "fastcast": FastCastProcess,
+    "ftskeen": FtSkeenProcess,
+}
+
+
+def figure_bench(
+    name: str,
+    help: str,
+    title: str,
+    testbed: Callable[..., DelayModel],
+    grid: SweepConfig,
+    full_grid: SweepConfig,
+) -> Tuple[Callable[..., List[SweepPoint]], BenchSpec]:
+    """A client-sweep figure: its ``run(sweep=None)`` function (default:
+    ``grid``, or ``full_grid`` under REPRO_BENCH_FULL=1) and its bench."""
+
+    def run(sweep: Optional[SweepConfig] = None) -> List[SweepPoint]:
+        sweep = sweep or (full_grid if full_sweep_enabled() else grid)
+        return run_sweep(
+            FIGURE_PROTOCOLS,
+            lambda config: testbed(config, jitter=sweep.network_jitter),
+            sweep,
+        )
+
+    def report(_params, results) -> str:
+        (points,) = results
+        return format_sweep(points, title) + "\n\n" + headline_comparison(points)
+
+    return run, BenchSpec(
+        name=name, help=help, run_cell=lambda _params, _cell: run(), report=report
+    )

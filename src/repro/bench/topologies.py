@@ -16,9 +16,11 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
 from ..config import ClusterConfig
+from ..placement import PlacementPolicy
 from ..sim.network import SiteTopology, WAN_ONE_WAY, lan_topology
 from ..types import ProcessId
 
@@ -87,3 +89,31 @@ def wan_testbed(
         else wan_site_map(config, client_site=client_site, spread_leaders=spread_leaders)
     )
     return SiteTopology(placement, WAN_ONE_WAY, intra_site=intra_site, jitter=jitter)
+
+
+def wan_site_config(
+    num_groups: int,
+    group_size: int,
+    clients: int,
+    shards_per_group: int = 1,
+    conflict: str = "total",
+) -> Tuple[ClusterConfig, SiteTopology]:
+    """The WAN grid geometry of the serving and conflict benches: 3 DCs,
+    a site :class:`~repro.placement.PlacementPolicy` on the config, and
+    the clients spread over the data centres.  Returns the config and
+    the matching delay model."""
+    config = ClusterConfig.build(
+        num_groups,
+        group_size,
+        clients,
+        shards_per_group=shards_per_group,
+        conflict=conflict,
+    )
+    sites = wan_site_map(config, spread_clients=True)
+    config = replace(
+        config,
+        placement=PlacementPolicy(
+            mode="site", sites=tuple(sorted(sites.items())), overlay="direct"
+        ),
+    )
+    return config, wan_testbed(config, site_map=sites)

@@ -14,11 +14,12 @@ Commands map one-to-one onto the library's experiment modules:
   breakdown: per-stage latency legs and the top-k slowest messages
   (``--obs`` / ``--obs-export`` expose the same registry on ``run``);
 * ``flow`` — trace one multicast hop by hop (the Fig. 5 view);
-* ``latency-table`` / ``convoy`` / ``figure7`` / ``figure8`` /
-  ``ablations`` / ``complexity`` — regenerate the paper's tables;
-* ``bench-batching`` — the batch-size throughput ablation across the
-  batching-capable protocols and linger modes (beyond the paper's own
-  evaluation; ``--protocol``/``--linger-mode``/``--quick``).
+* every bench in :func:`repro.bench.driver.bench_specs` — the paper's
+  tables (``latency-table`` / ``convoy`` / ``figure7`` / ``figure8`` /
+  ``ablations`` / ``complexity``) and the sweeps beyond it
+  (``bench-batching`` / ``bench-elasticity`` / ``bench-net`` /
+  ``bench-serving`` / ``bench-conflict``).  Each is registered from its
+  own spec and run by the one generic driver; this module names none.
 """
 
 from __future__ import annotations
@@ -27,24 +28,43 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .bench.driver import add_flags, bench_specs, nonneg_float, positive_int, run_bench
 from .bench.harness import run_workload
 from .bench.metrics import summarize_latencies
+from .bench.topologies import LAN_ONE_WAY, lan_testbed, wan_testbed
+from .config import BatchingOptions, ClusterConfig
+from .obs import ObsOptions
 from .protocols import PROTOCOLS
 from .sim import ConstantDelay
+from .sim.network import WAN_ONE_WAY
+from .workload import ClientOptions
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _add_cluster_arguments(
+    parser: argparse.ArgumentParser, clients: int, messages: int, topology: str
+) -> None:
+    """The cluster/topology options ``run`` and ``spans`` share."""
+    parser.add_argument("--protocol", choices=sorted(PROTOCOLS), default="wbcast")
+    parser.add_argument("--groups", type=int, default=3)
+    parser.add_argument("--group-size", type=int, default=3)
+    parser.add_argument("--shards", type=positive_int, default=1, metavar="S",
+                        help="ordering lanes per group (sharded multi-leader "
+                             "groups: each lane has its own leader, timestamps "
+                             "and recovery; 1 keeps the paper's single leader; "
+                             "honoured by protocols with sharding support, "
+                             "today wbcast)")
+    parser.add_argument("--clients", type=int, default=clients)
+    parser.add_argument("--messages", type=int, default=messages)
+    parser.add_argument("--dest-k", type=int, default=2)
+    parser.add_argument("--delta", type=float, default=0.001,
+                        help="one-way delay in seconds (default 1 ms; sim only, "
+                             "constant topology)")
+    parser.add_argument("--topology", choices=["constant", "lan", "wan"],
+                        default=topology,
+                        help="simulated network: constant --delta, the Fig. 7 "
+                             "LAN, or the Fig. 8 WAN grid (the interesting "
+                             "case for stage attribution)")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,20 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a workload and verify it")
-    run_p.add_argument("--protocol", choices=sorted(PROTOCOLS), default="wbcast")
+    _add_cluster_arguments(run_p, clients=2, messages=10, topology="constant")
     run_p.add_argument("--runtime", choices=["sim", "net"], default="sim",
                        help="'sim': deterministic virtual-time simulator; "
                             "'net': a real asyncio TCP cluster on localhost "
                             "ephemeral ports, driven through the same "
                             "AmcastClient session API")
-    run_p.add_argument("--groups", type=int, default=3)
-    run_p.add_argument("--group-size", type=int, default=3)
-    run_p.add_argument("--shards", type=_positive_int, default=1, metavar="S",
-                       help="ordering lanes per group (sharded multi-leader "
-                            "groups: each lane has its own leader, timestamps "
-                            "and recovery; 1 keeps the paper's single leader; "
-                            "honoured by protocols with sharding support, "
-                            "today wbcast)")
     run_p.add_argument("--conflict", choices=["total", "keys"], default="total",
                        help="delivery ordering granularity: 'total' is the "
                             "paper's total order; 'keys' delivers a committed "
@@ -77,37 +89,29 @@ def _build_parser() -> argparse.ArgumentParser:
                             "disjoint-key traffic skips the cross-lane merge "
                             "wait (wbcast only; checked against the "
                             "conflict-aware partial-order properties)")
-    run_p.add_argument("--key-universe", type=_positive_int, default=64,
+    run_p.add_argument("--key-universe", type=positive_int, default=64,
                        metavar="N",
                        help="with --conflict keys: submissions declare one "
                             "key drawn uniformly from N synthetic keys "
                             "(controls how often messages commute)")
-    run_p.add_argument("--clients", type=int, default=2)
-    run_p.add_argument("--messages", type=int, default=10)
-    run_p.add_argument("--dest-k", type=int, default=2)
-    run_p.add_argument("--delta", type=float, default=0.001,
-                       help="one-way delay in seconds (default 1 ms; sim only)")
-    run_p.add_argument("--topology", choices=["constant", "lan", "wan"],
-                       default="constant")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--ingress-batch", type=_positive_int, default=1,
+    run_p.add_argument("--ingress-batch", type=positive_int, default=1,
                        metavar="N",
                        help="client-side ingress coalescing: AmcastClient "
                             "sessions buffer submissions per destination "
                             "leader and send MULTICAST_BATCH wire messages "
                             "of up to N entries (1: one MULTICAST per "
                             "message, the paper's ingress)")
-    run_p.add_argument("--ingress-linger", type=_nonneg_float, default=None,
+    run_p.add_argument("--ingress-linger", type=nonneg_float, default=None,
                        metavar="SECS",
                        help="max time a submission lingers client-side for "
                             "co-batching (default: --batch-linger, or 2ms "
                             "when that is 0)")
-    run_p.add_argument("--batch-size", type=_positive_int, default=1, metavar="N",
+    run_p.add_argument("--batch-size", type=positive_int, default=1, metavar="N",
                        help="leader-side batch size (1: per-message protocol)")
-    run_p.add_argument("--batch-linger", type=_nonneg_float, default=0.0,
+    run_p.add_argument("--batch-linger", type=nonneg_float, default=0.0,
                        metavar="SECS",
                        help="max virtual time a multicast lingers for co-batching")
-    run_p.add_argument("--pipeline-depth", type=_positive_int, default=1,
+    run_p.add_argument("--pipeline-depth", type=positive_int, default=1,
                        metavar="N",
                        help="max in-flight leader batches per destination set")
     run_p.add_argument("--linger-mode", choices=["fixed", "adaptive"],
@@ -117,10 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "inter-arrival times (grows toward --batch-linger "
                             "under bursts, shrinks toward --min-linger under "
                             "sparse load)")
-    run_p.add_argument("--min-linger", type=_nonneg_float, default=0.0,
+    run_p.add_argument("--min-linger", type=nonneg_float, default=0.0,
                        metavar="SECS",
                        help="lower bound of the adaptive linger (default 0)")
-    run_p.add_argument("--join-at", type=_nonneg_float, default=None,
+    run_p.add_argument("--join-at", type=nonneg_float, default=None,
                        metavar="SECS",
                        help="dynamic reconfiguration: submit a join(group 0, "
                             "fresh pid) command through the multicast total "
@@ -128,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "wall seconds after start); the joiner receives "
                             "a state-transfer snapshot and serves reads of "
                             "pre-join messages (wbcast only)")
-    run_p.add_argument("--leave-at", type=_nonneg_float, default=None,
+    run_p.add_argument("--leave-at", type=nonneg_float, default=None,
                        metavar="SECS",
                        help="dynamic reconfiguration: submit a leave command "
                             "for the last member of group 0 at this time "
@@ -161,20 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a workload with telemetry on and print the top-k slowest "
              "messages with their per-stage lifecycle breakdown "
              "(submit/admit/accept_quorum/commit/merge_release/deliver)")
-    spans_p.add_argument("--protocol", choices=sorted(PROTOCOLS), default="wbcast")
-    spans_p.add_argument("--groups", type=int, default=3)
-    spans_p.add_argument("--group-size", type=int, default=3)
-    spans_p.add_argument("--shards", type=_positive_int, default=1, metavar="S")
-    spans_p.add_argument("--clients", type=int, default=4)
-    spans_p.add_argument("--messages", type=int, default=25)
-    spans_p.add_argument("--dest-k", type=int, default=2)
-    spans_p.add_argument("--topology", choices=["constant", "lan", "wan"],
-                         default="wan",
-                         help="WAN grid by default — the interesting case "
-                              "for stage attribution")
-    spans_p.add_argument("--delta", type=float, default=0.001)
-    spans_p.add_argument("--seed", type=int, default=0)
-    spans_p.add_argument("--top-k", type=_positive_int, default=10, metavar="K",
+    _add_cluster_arguments(spans_p, clients=4, messages=25, topology="wan")
+    spans_p.add_argument("--top-k", type=positive_int, default=10, metavar="K",
                          help="how many of the slowest messages to break down")
 
     flow_p = sub.add_parser("flow", help="trace one multicast hop by hop (Fig. 5 view)")
@@ -182,54 +174,31 @@ def _build_parser() -> argparse.ArgumentParser:
     flow_p.add_argument("--dest-k", type=int, default=2)
     flow_p.add_argument("--lanes", action="store_true", help="lane diagram view")
 
-    sub.add_parser("latency-table", help="CFL/FFL table (Theorems 3-4)")
-    convoy_p = sub.add_parser(
-        "convoy",
-        help="Fig. 2 convoy-effect sweep "
-             "(--protocol/--batch-size/--batch-linger/--shards axes)")
-    from .bench.convoy import add_arguments as add_convoy_arguments
-
-    add_convoy_arguments(convoy_p)  # one option set for both entry points
-    sub.add_parser("figure7", help="Fig. 7 LAN sweep (REPRO_BENCH_FULL=1 for full grid)")
-    sub.add_parser("figure8", help="Fig. 8 WAN sweep (REPRO_BENCH_FULL=1 for full grid)")
-    sub.add_parser("ablations", help="speculation / genuineness / group-size ablations")
-    sub.add_parser("complexity", help="message-complexity table")
-    bb_p = sub.add_parser(
-        "bench-batching",
-        help="batch-size throughput ablation across protocols "
-             "(REPRO_BENCH_FULL=1 for full grid)")
-    from .bench.batching import add_arguments as add_bench_batching_arguments
-
-    add_bench_batching_arguments(bb_p)  # one option set for both entry points
-    be_p = sub.add_parser(
-        "bench-elasticity",
-        help="throughput dip/recovery across a live scale-out "
-             "(join + lane re-deal under closed-loop load)")
-    from .bench.elasticity import add_arguments as add_bench_elasticity_arguments
-
-    add_bench_elasticity_arguments(be_p)
-    bn_p = sub.add_parser(
-        "bench-net",
-        help="TCP runtime throughput sweep over localhost sockets "
-             "(codec/coalescing/procs wire-path axes)")
-    from .bench.net import add_arguments as add_bench_net_arguments
-
-    add_bench_net_arguments(bn_p)  # one option set for both entry points
-    bs_p = sub.add_parser(
-        "bench-serving",
-        help="serving-tier sweep: read-at-watermark local reads vs "
-             "submit-path reads (read-ratio x skew x tenants axes)")
-    from .bench.serving import add_arguments as add_bench_serving_arguments
-
-    add_bench_serving_arguments(bs_p)  # one option set for both entry points
-    bc_p = sub.add_parser(
-        "bench-conflict",
-        help="conflict-aware delivery: total vs keys delivery latency "
-             "on the WAN grid (Zipfian disjoint-key workload)")
-    from .bench.conflict import add_arguments as add_bench_conflict_arguments
-
-    add_bench_conflict_arguments(bc_p)  # one option set for both entry points
+    # Every registered bench: one option set, declared by its own spec.
+    for name, spec in bench_specs().items():
+        add_flags(sub.add_parser(name, help=spec.help), spec)
     return parser
+
+
+def _cluster_for(args: argparse.Namespace, **config_kwargs):
+    """``(protocol class, config)`` of a run/spans invocation; Skeen's
+    singleton groups are forced here."""
+    group_size = 1 if args.protocol == "skeen" else args.group_size
+    config = ClusterConfig.build(
+        args.groups, group_size, args.clients,
+        shards_per_group=args.shards, **config_kwargs,
+    )
+    return PROTOCOLS[args.protocol], config
+
+
+def network_for(args: argparse.Namespace, config: ClusterConfig):
+    """``(delay model, δ)`` of the ``--topology`` / ``--delta`` choice; δ is
+    the topology's largest one-way delay, in which latencies are reported."""
+    if args.topology == "lan":
+        return lan_testbed(config), LAN_ONE_WAY
+    if args.topology == "wan":
+        return wan_testbed(config), max(WAN_ONE_WAY.values())
+    return ConstantDelay(args.delta), args.delta
 
 
 def _ingress_options(args: argparse.Namespace):
@@ -242,8 +211,6 @@ def _ingress_options(args: argparse.Namespace):
                 file=sys.stderr,
             )
         return None
-    from .config import BatchingOptions
-
     linger = args.ingress_linger
     if linger is None:
         linger = args.batch_linger if args.batch_linger > 0 else 0.002
@@ -268,8 +235,6 @@ def _batching_options(args: argparse.Namespace):
     if args.batch_size > 1 or args.batch_linger > 0:
         if args.min_linger > args.batch_linger:
             return None, "--min-linger must not exceed --batch-linger"
-        from .config import BatchingOptions
-
         return BatchingOptions(
             max_batch=args.batch_size,
             max_linger=args.batch_linger,
@@ -290,8 +255,6 @@ def _obs_options(args: argparse.Namespace):
     """The ObsOptions implied by --obs/--obs-export (None: obs off)."""
     if not (getattr(args, "obs", False) or getattr(args, "obs_export", None)):
         return None
-    from .obs import ObsOptions
-
     return ObsOptions(enabled=True, export=getattr(args, "obs_export", None))
 
 
@@ -327,11 +290,9 @@ def _print_obs(telemetry, export: Optional[str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    protocol_cls = PROTOCOLS[args.protocol]
-    group_size = 1 if args.protocol == "skeen" else args.group_size
-    from .config import ClusterConfig
-
-    if args.shards > 1 and not getattr(protocol_cls, "SUPPORTS_SHARDING", False):
+    if args.shards > 1 and not getattr(
+        PROTOCOLS[args.protocol], "SUPPORTS_SHARDING", False
+    ):
         print(
             f"note: --shards has no effect on {args.protocol} "
             "(no sharding support); running single-leader groups",
@@ -353,10 +314,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    config = ClusterConfig.build(
-        args.groups, group_size, args.clients, shards_per_group=args.shards,
-        conflict=args.conflict,
-    )
+    protocol_cls, config = _cluster_for(args, conflict=args.conflict)
+    group_size = len(config.members(0))
     if reconfig and args.protocol != "wbcast":
         print(
             f"error: --join-at/--leave-at require the wbcast protocol "
@@ -364,32 +323,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.runtime == "net":
-        return _cmd_run_net(args, protocol_cls, config)
-    if reconfig:
-        return _cmd_run_elastic(args, protocol_cls, config)
-    if args.topology == "lan":
-        from .bench.topologies import lan_testbed
-
-        network = lan_testbed(config)
-        delta = 0.00005
-    elif args.topology == "wan":
-        from .bench.topologies import wan_testbed
-
-        network = wan_testbed(config)
-        delta = 0.065
-    else:
-        network = ConstantDelay(args.delta)
-        delta = args.delta
     batching, error = _batching_options(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
     ingress = _ingress_options(args)
+    if args.runtime == "net":
+        return _cmd_run_net(args, protocol_cls, config, batching, ingress)
+    if reconfig:
+        return _cmd_run_elastic(args, protocol_cls, config, batching, ingress)
+    network, delta = network_for(args, config)
     client_options = None
     if ingress is not None or args.conflict == "keys":
-        from .workload import ClientOptions
-
         client_options = ClientOptions(
             num_messages=args.messages,
             ingress=ingress,
@@ -451,16 +396,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if (ok and result.all_done) else 1
 
 
-def _cmd_run_elastic(args: argparse.Namespace, protocol_cls, config) -> int:
+def _cmd_run_elastic(
+    args: argparse.Namespace, protocol_cls, config, batching, ingress
+) -> int:
     """Run the sim workload through a scripted join / leave (wbcast)."""
     from .reconfig.harness import run_elastic_workload
     from .sim.faults import JoinSpec, LeaveSpec, ReconfigPlan
 
-    batching, error = _batching_options(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    ingress = _ingress_options(args)
     events = []
     if args.join_at is not None:
         events.append(JoinSpec(args.join_at, 0))
@@ -468,8 +410,6 @@ def _cmd_run_elastic(args: argparse.Namespace, protocol_cls, config) -> int:
         # The last *original* member of group 0 leaves (never the joiner).
         events.append(LeaveSpec(args.leave_at, config.members(0)[-1]))
     plan = ReconfigPlan(events=events)
-    from .workload import ClientOptions
-
     if args.topology != "constant":
         # The site topologies place only build-time processes; joiners and
         # the operator console have no placement there yet.
@@ -492,6 +432,7 @@ def _cmd_run_elastic(args: argparse.Namespace, protocol_cls, config) -> int:
             num_messages=args.messages, retry_timeout=0.05, ingress=ingress
         ),
         attach_genuineness=True,
+        obs=_obs_options(args),
     )
     print(f"protocol  : {args.protocol} (dynamic reconfiguration)")
     print(
@@ -521,10 +462,63 @@ def _cmd_run_elastic(args: argparse.Namespace, protocol_cls, config) -> int:
     epochs = result.epochs()
     print(f"epochs    : {' -> '.join(str(c.epoch) for c in epochs)} "
           f"(final groups: {epochs[-1].groups})")
+    _print_obs(result.telemetry, args.obs_export)
     return 0 if (ok and result.completed >= result.expected) else 1
 
 
-def _cmd_run_net(args: argparse.Namespace, protocol_cls, config) -> int:
+async def _drive_net_reconfig(cluster, args, config, total: int, dest_k: int):
+    """Half the load, the scripted join / leave, the other half; reconfig
+    commands must be interleaved at wall-clock offsets, so this path polls
+    for completion instead of using :func:`drive_cluster`."""
+    import asyncio
+    import random
+    import time
+
+    from .reconfig import JoinCmd, LeaveCmd
+    from .reconfig.checking import check_elastic, epoch_chain, reference_manager
+
+    rng = random.Random(args.seed)
+
+    def submit(count: int):
+        return [
+            cluster.multicast(frozenset(rng.sample(range(args.groups), dest_k)))
+            for _ in range(count)
+        ]
+
+    t0 = time.monotonic()
+    handles = submit(total // 2)
+    cmd_handles = []
+    reconfig_ok = True
+    leaver = config.members(0)[-1]
+    if args.join_at is not None:
+        await asyncio.sleep(args.join_at)
+        joiner = await cluster.add_member(0)
+        cmd_handles.append(cluster.submit_reconfig(JoinCmd(0, joiner)))
+        if not await cluster.wait_installed(joiner, timeout=15.0):
+            print("error: joiner never installed", file=sys.stderr)
+            reconfig_ok = False
+    if args.leave_at is not None:
+        await asyncio.sleep(max(0.0, args.leave_at - (args.join_at or 0.0)))
+        cmd_handles.append(cluster.submit_reconfig(LeaveCmd(leaver)))
+    handles.extend(submit(total - total // 2))
+    deadline = time.monotonic() + max(15.0, 0.05 * total)
+    while time.monotonic() < deadline and not all(
+        h.completed for h in handles + cmd_handles
+    ):
+        await asyncio.sleep(0.02)
+    elapsed = time.monotonic() - t0
+    epochs = epoch_chain(config, reference_manager(cluster.managers))
+    checks = check_elastic(cluster.history(), epochs, quiescent=False)
+    # The reconfiguration itself must have happened: commands completed,
+    # joiner installed — a run where only the data traffic survives is a
+    # reconfig regression, not a pass.
+    done = all(h.completed for h in handles + cmd_handles) and reconfig_ok
+    return done, sum(1 for h in handles if h.completed), elapsed, checks
+
+
+def _cmd_run_net(
+    args: argparse.Namespace, protocol_cls, config, batching, ingress
+) -> int:
     """Run the workload over the asyncio TCP runtime (localhost sockets).
 
     The same :class:`~repro.client.AmcastClient` session API the simulator
@@ -533,14 +527,12 @@ def _cmd_run_net(args: argparse.Namespace, protocol_cls, config) -> int:
     the resulting history is verified with the standard checkers.
     """
     import asyncio
-    import random
-    import time
 
     from .bench.harness import apply_batching
-    from .bench.net import install_loop
     from .checking import check_all
     from .client import AmcastClientOptions
     from .net import LocalCluster, MultiProcCluster, TransportOptions
+    from .workload.netdrive import drive_cluster, install_loop
 
     if args.topology != "constant" or args.delta != 0.001:
         print(
@@ -548,19 +540,11 @@ def _cmd_run_net(args: argparse.Namespace, protocol_cls, config) -> int:
             "runtime runs on real localhost sockets and ignores them",
             file=sys.stderr,
         )
-    batching, error = _batching_options(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     protocol_options = (
         apply_batching(protocol_cls, None, batching) if batching is not None else None
     )
-    ingress = _ingress_options(args)
-    client_options = AmcastClientOptions(retry_timeout=0.25, ingress=ingress)
-    transport_options = TransportOptions(codec=args.codec)
     total = args.clients * args.messages
     dest_k = min(args.dest_k, args.groups)
-    rng = random.Random(args.seed)
     reconfig = args.join_at is not None or args.leave_at is not None
     multiproc = args.procs_per_node == "lanes"
     if multiproc and reconfig:
@@ -573,90 +557,35 @@ def _cmd_run_net(args: argparse.Namespace, protocol_cls, config) -> int:
     loop_label = install_loop(args.loop)
     cluster_cls = MultiProcCluster if multiproc else LocalCluster
 
-    obs_options = _obs_options(args)
-
     async def scenario():
         cluster = cluster_cls(
             config,
             protocol_cls,
             options=protocol_options,
             seed=args.seed,
-            client_options=client_options,
+            client_options=AmcastClientOptions(retry_timeout=0.25, ingress=ingress),
             attach_reconfig=reconfig,
-            transport_options=transport_options,
-            obs=obs_options,
+            transport_options=TransportOptions(codec=args.codec),
+            obs=_obs_options(args),
         )
         await cluster.start()
         try:
-            t0 = time.monotonic()
-            first = total // 2 if reconfig else total
-            handles = [
-                cluster.multicast(frozenset(rng.sample(range(args.groups), dest_k)))
-                for _ in range(first)
-            ]
-            cmd_handles = []
-            reconfig_ok = True
             if reconfig:
-                from .reconfig import JoinCmd, LeaveCmd
-
-                leaver = config.members(0)[-1]
-                if args.join_at is not None:
-                    await asyncio.sleep(args.join_at)
-                    joiner = await cluster.add_member(0)
-                    cmd_handles.append(cluster.submit_reconfig(JoinCmd(0, joiner)))
-                    if not await cluster.wait_installed(joiner, timeout=15.0):
-                        print("error: joiner never installed", file=sys.stderr)
-                        reconfig_ok = False
-                if args.leave_at is not None:
-                    await asyncio.sleep(
-                        max(0.0, args.leave_at - (args.join_at or 0.0))
-                    )
-                    cmd_handles.append(cluster.submit_reconfig(LeaveCmd(leaver)))
-                handles.extend(
-                    cluster.multicast(frozenset(rng.sample(range(args.groups), dest_k)))
-                    for _ in range(total - first)
-                )
-            deadline = time.monotonic() + max(15.0, 0.05 * total)
-            while time.monotonic() < deadline and not all(
-                h.completed for h in handles + cmd_handles
-            ):
-                await asyncio.sleep(0.02)
-            elapsed = time.monotonic() - t0
-            completed = sum(1 for h in handles if h.completed)
-            if reconfig:
-                from .reconfig.checking import (
-                    check_elastic,
-                    epoch_chain,
-                    reference_manager,
-                )
-
-                epochs = epoch_chain(
-                    config, reference_manager(cluster.managers)
-                )
-                checks = check_elastic(
-                    cluster.history(), epochs, quiescent=False
-                )
-                # The reconfiguration itself must have happened: commands
-                # completed, joiner installed — a run where only the data
-                # traffic survives is a reconfig regression, not a pass.
-                done = (
-                    all(h.completed for h in handles + cmd_handles)
-                    and reconfig_ok
-                )
-            else:
-                expected = sum(
-                    len(config.members(g)) for h in handles for g in h.message.dests
-                )
-                done = await cluster.wait_quiescent(
-                    expected, timeout=max(10.0, 0.05 * total)
-                )
-                checks = check_all(cluster.history(), quiescent=done)
-            # Only the reconfig path gates the exit code on `done` (the
-            # reconfiguration really happening); the legacy path keeps its
-            # handle-completion contract, with `done` informing quiescent
-            # checking only.
-            gate = done if reconfig else True
-            return gate, completed, elapsed, checks, cluster.telemetry
+                outcome = await _drive_net_reconfig(cluster, args, config, total, dest_k)
+                return (*outcome, cluster.telemetry)
+            drive = await drive_cluster(
+                cluster, total, dest_k=dest_k, seed=args.seed,
+                timeout=max(15.0, 0.05 * total),
+            )
+            quiescent = await cluster.wait_quiescent(
+                total * dest_k * len(config.members(0)),
+                timeout=max(10.0, 0.05 * total),
+            )
+            checks = check_all(cluster.history(), quiescent=quiescent)
+            # Only the reconfig path gates the exit code on `done`; here
+            # handle completion is the contract, and quiescence informs
+            # the termination check only.
+            return True, drive.completed, drive.elapsed, checks, cluster.telemetry
         finally:
             await cluster.stop()
 
@@ -693,27 +622,10 @@ def _cmd_run_net(args: argparse.Namespace, protocol_cls, config) -> int:
 
 def _cmd_spans(args: argparse.Namespace) -> int:
     """Run a sim workload with telemetry on; print the span breakdown."""
-    from .config import ClusterConfig
-    from .obs import ObsOptions, render_spans_report
+    from .obs import render_spans_report
 
-    protocol_cls = PROTOCOLS[args.protocol]
-    group_size = 1 if args.protocol == "skeen" else args.group_size
-    config = ClusterConfig.build(
-        args.groups, group_size, args.clients, shards_per_group=args.shards
-    )
-    if args.topology == "lan":
-        from .bench.topologies import lan_testbed
-
-        network = lan_testbed(config)
-        delta = 0.00005
-    elif args.topology == "wan":
-        from .bench.topologies import wan_testbed
-
-        network = wan_testbed(config)
-        delta = 0.065
-    else:
-        network = ConstantDelay(args.delta)
-        delta = args.delta
+    protocol_cls, config = _cluster_for(args)
+    network, delta = network_for(args, config)
     result = run_workload(
         protocol_cls,
         config=config,
@@ -740,12 +652,11 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     from .bench.flow import flow_report, lane_diagram
     from .bench.latency_table import DELTA, _build
-    from .sim import ConstantDelay as _CD
 
     protocol_cls = PROTOCOLS[args.protocol]
     dests = tuple(range(max(1, args.dest_k)))
     sim, config, trace, tracker, clients = _build(
-        protocol_cls, _CD(DELTA), [[(0.0, dests)]], num_groups=max(2, args.dest_k)
+        protocol_cls, ConstantDelay(DELTA), [[(0.0, dests)]], num_groups=max(2, args.dest_k)
     )
     sim.run()
     mid = clients[0].sent[0]
@@ -756,59 +667,16 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "spans": _cmd_spans, "flow": _cmd_flow}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "spans":
-        return _cmd_spans(args)
-    if args.command == "flow":
-        return _cmd_flow(args)
-    if args.command == "latency-table":
-        from .bench import latency_table
-
-        latency_table.main()
-    elif args.command == "convoy":
-        from .bench import convoy
-
-        convoy.run_main(args)
-    elif args.command == "figure7":
-        from .bench import figure7
-
-        figure7.main()
-    elif args.command == "figure8":
-        from .bench import figure8
-
-        figure8.main()
-    elif args.command == "ablations":
-        from .bench import ablation
-
-        ablation.main()
-    elif args.command == "complexity":
-        from .bench import complexity
-
-        complexity.main()
-    elif args.command == "bench-batching":
-        from .bench import batching
-
-        batching.run_main(args)
-    elif args.command == "bench-elasticity":
-        from .bench import elasticity
-
-        return elasticity.run_main(args)
-    elif args.command == "bench-net":
-        from .bench import net
-
-        return net.run_main(args)
-    elif args.command == "bench-serving":
-        from .bench import serving
-
-        return serving.run_main(args)
-    elif args.command == "bench-conflict":
-        from .bench import conflict
-
-        return conflict.run_main(args)
-    return 0
+    command = _COMMANDS.get(args.command)
+    if command is not None:
+        return command(args)
+    return run_bench(bench_specs()[args.command], args, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

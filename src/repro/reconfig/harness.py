@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..bench.harness import RunResult, apply_batching
-from ..checking import History
+from ..bench.harness import RunResult, SimCluster
 from ..client import AmcastClient, AmcastClientOptions, SubmitHandle
 from ..config import BatchingOptions, ClusterConfig
-from ..errors import ConfigError, SimulationError
-from ..sim import ConstantDelay, CpuModel, Simulator, Trace
+from ..errors import ConfigError
+from ..sim import CpuModel
 from ..sim.faults import (
     FaultPlan,
     JoinSpec,
@@ -35,13 +34,7 @@ from ..sim.faults import (
 )
 from ..sim.network import DelayModel
 from ..types import ProcessId
-from ..workload import (
-    ClientOptions,
-    ClosedLoopClient,
-    DeliveryTracker,
-    DestinationChooser,
-    RandomKGroups,
-)
+from ..workload import ClientOptions
 from .checking import (
     ElasticGenuinenessMonitor,
     check_elastic,
@@ -49,7 +42,13 @@ from .checking import (
     epoch_chain,
     reference_manager,
 )
-from .commands import ConfigCommand, JoinCmd
+from .commands import (
+    ConfigCommand,
+    JoinCmd,
+    LeaveCmd,
+    SetLaneWeightsCmd,
+    SetShardsCmd,
+)
 from .manager import ReconfigManager
 from .member import JoiningMember
 
@@ -57,8 +56,6 @@ from .member import JoiningMember
 def command_of(config: ClusterConfig, spec: ReconfigSpec) -> ConfigCommand:
     """The wire command a script event denotes (allocating a join pid when
     the spec left it to us: one above every currently configured process)."""
-    from .commands import JoinCmd, LeaveCmd, SetLaneWeightsCmd, SetShardsCmd
-
     if isinstance(spec, JoinSpec):
         pid = spec.pid if spec.pid is not None else max(config.all_processes) + 1
         return JoinCmd(spec.gid, pid)
@@ -76,8 +73,6 @@ def resolve_plan(
 ) -> List[Tuple[float, ConfigCommand]]:
     """Concrete (time, command) pairs with joiner pids allocated densely
     from ``first_free_pid``."""
-    from .commands import JoinCmd
-
     out: List[Tuple[float, ConfigCommand]] = []
     next_pid = first_free_pid
     for spec in plan.sorted_events():
@@ -140,7 +135,6 @@ class ElasticRunResult(RunResult):
     driver: Optional[ReconfigDriver] = None
     joiners: Dict[ProcessId, JoiningMember] = field(default_factory=dict)
     managers: Dict[ProcessId, ReconfigManager] = field(default_factory=dict)
-    genuineness: Optional[ElasticGenuinenessMonitor] = None
 
     def epochs(self) -> List[ClusterConfig]:
         """The run's configuration chain, from the most complete manager
@@ -205,6 +199,7 @@ def run_elastic_workload(
     drain_grace: float = 0.1,
     max_events: int = 50_000_000,
     max_time: float = 30.0,
+    obs: Optional[Any] = None,
 ) -> ElasticRunResult:
     """Run closed-loop clients through the scripted reconfiguration.
 
@@ -220,20 +215,24 @@ def run_elastic_workload(
     failure detector to re-elect around the (dead) deal leader.
     """
     plan.validate(config)
-    if batching is not None:
-        protocol_options = apply_batching(protocol_cls, protocol_options, batching)
-    if network is None:
-        network = ConstantDelay(0.001)
-    trace = Trace()
-    sim = Simulator(network, seed=seed, trace=trace, cpu=cpu)
-    tracker = DeliveryTracker(config, sim=sim)
-    trace.attach(tracker)
-    genuineness = None
-    if attach_genuineness:
-        genuineness = ElasticGenuinenessMonitor(config)
-        trace.attach(genuineness)
-    for monitor in monitors:
-        trace.attach(monitor)
+    genuineness = ElasticGenuinenessMonitor(config) if attach_genuineness else None
+    cluster = SimCluster(
+        protocol_cls,
+        config,
+        network=network,
+        seed=seed,
+        cpu=cpu,
+        protocol_options=protocol_options,
+        batching=batching,
+        obs=obs,
+        monitors=[genuineness, *monitors],
+        attach_fd=attach_fd,
+        fd_options=fd_options,
+    )
+    sim, tracker, members = cluster.sim, cluster.tracker, cluster.members
+    managers: Dict[int, ReconfigManager] = {
+        pid: ReconfigManager.attach(proc, config) for pid, proc in members.items()
+    }
 
     # Joiner pids first (densely above every configured process), then the
     # operator console's pid.
@@ -244,27 +243,13 @@ def run_elastic_workload(
         [first_free - 1] + [cmd.pid for cmd in joiner_cmds]
     ) + 1
 
-    members: Dict[int, Any] = {}
-    managers: Dict[int, ReconfigManager] = {}
-    for gid in config.group_ids:
-        for pid in config.members(gid):
-            proc = sim.add_process(
-                pid,
-                lambda rt, p=pid: protocol_cls(p, config, rt, options=protocol_options),
-            )
-            members[pid] = proc
-            managers[pid] = ReconfigManager.attach(proc, config)
-            if attach_fd:
-                from ..failure.detector import attach_monitor
-
-                attach_monitor(proc, fd_options)
-
     joiners: Dict[int, JoiningMember] = {}
     for cmd in joiner_cmds:
         joiner = sim.add_process(
             cmd.pid,
             lambda rt, c=cmd: JoiningMember(
-                c.pid, config, rt, c.gid, protocol_cls, options=protocol_options
+                c.pid, config, rt, c.gid, protocol_cls,
+                options=cluster.protocol_options,
             ),
         )
         joiners[cmd.pid] = joiner
@@ -273,7 +258,6 @@ def run_elastic_workload(
         if genuineness is not None:
             genuineness.note_member(cmd.pid, cmd.gid)
 
-    clients: List[ClosedLoopClient] = []
     copts = client_options or ClientOptions(
         num_messages=messages_per_client, retry_timeout=client_retry
     )
@@ -282,72 +266,37 @@ def run_elastic_workload(
         # Retransmission is the liveness driver across epoch flips: a
         # fenced submission is only re-driven by its retry timer.
         changes["retry_timeout"] = client_retry
-    copts = ClientOptions(**{**copts.__dict__, **changes})
-    for i, pid in enumerate(config.clients):
-        chooser = (
-            chooser_factory(config, i)
-            if chooser_factory is not None
-            else RandomKGroups(config, dest_k)
-        )
-        client = sim.add_process(
-            pid,
-            lambda rt, p=pid, ch=chooser: ClosedLoopClient(
-                p, config, rt, protocol_cls, tracker, ch, copts
-            ),
-        )
-        clients.append(client)
-
+    clients = cluster.add_closed_loop_clients(
+        ClientOptions(**{**copts.__dict__, **changes}), dest_k, chooser_factory
+    )
     driver = sim.add_process(
         driver_pid,
         lambda rt: ReconfigDriver(
             driver_pid, config, rt, protocol_cls, tracker, schedule, driver_retry
         ),
     )
-
-    for monitor in monitors:
-        binder = getattr(monitor, "bind_processes", None)
-        if callable(binder):
-            binder(members)
-
-    if fault_plan is not None:
-        fault_plan.validate(config)
-        fault_plan.apply(sim)
-
-    expected = sum(c.options.num_messages for c in clients)
-    steps = 0
-    while True:
-        if (
+    cluster.arm(fault_plan)
+    cluster.run(
+        done=lambda: (
             all(c.done for c in clients)
             and driver.done
             and all(j.installed for j in joiners.values())
-        ):
-            break
-        if not sim.step():
-            break
-        steps += 1
-        if steps > max_events:
-            raise SimulationError(f"run exceeded {max_events} events before completing")
-        if sim.now > max_time:
-            break
-    end_of_load = sim.now
-    if drain_grace > 0:
-        sim.run(until=sim.now + drain_grace)
+        ),
+        drain_grace=drain_grace,
+        max_events=max_events,
+        max_time=max_time,
+    )
 
     result = ElasticRunResult(
-        config=config,
-        sim=sim,
-        trace=trace,
-        tracker=tracker,
         clients=clients,
-        members=members,
-        duration=end_of_load,
         completed=tracker.completed_count,
-        expected=expected + len(schedule),
+        expected=sum(c.options.num_messages for c in clients) + len(schedule),
         plan=plan,
         driver=driver,
         joiners=joiners,
         managers=managers,
         genuineness=genuineness,
+        **cluster.result_fields(),
     )
     if genuineness is not None and managers:
         genuineness.note_epochs(

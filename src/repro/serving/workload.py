@@ -26,12 +26,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
+from ..bench.harness import SimCluster
 from ..checking import History, check_all, serving_records
 from ..checking.genuineness import GenuinenessMonitor
 from ..checking.linearizability import check_linearizability
 from ..client import AmcastClientOptions
-from ..config import ClusterConfig
-from ..sim import ConstantDelay, CpuModel, Simulator, Trace
+from ..config import BatchingOptions, ClusterConfig
+from ..sim import CpuModel, Simulator, Trace
 from ..sim.faults import FaultPlan
 from ..sim.network import DelayModel
 from ..types import ProcessId
@@ -358,6 +359,7 @@ def run_serving_workload(
     seed: int = 0,
     config: Optional[ClusterConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
+    monitors: Sequence[Any] = (),
     attach_fd: bool = False,
     fd_options: Any = None,
     attach_genuineness: bool = False,
@@ -365,122 +367,82 @@ def run_serving_workload(
     drain_grace: float = 0.05,
     max_events: int = 50_000_000,
     max_time: Optional[float] = None,
+    batching: Optional[BatchingOptions] = None,
     obs: Optional[Any] = None,
 ) -> ServingRunResult:
     """Run a serving-tier workload in the simulator.
 
-    Mirrors :func:`repro.bench.harness.run_workload`, with serving
+    :func:`repro.bench.harness.run_workload`'s cluster with serving
     replicas attached to every member and :class:`ServingLoadSession`
     clients instead of plain closed-loop submitters.
     """
-    from ..errors import SimulationError
-
     if config is None:
         config = ClusterConfig.build(num_groups, group_size, num_sessions)
-    if network is None:
-        network = ConstantDelay(0.001)
-    trace = Trace(record_sends=record_sends)
-    sim = Simulator(network, seed=seed, trace=trace, cpu=cpu)
-    from ..obs import Telemetry
-
-    telemetry = Telemetry.create(obs if obs is not None else config.obs,
-                                 now=lambda: sim.now, time_source=sim)
-    if telemetry is not None:
-        span_monitor = telemetry.trace_monitor()
-        if span_monitor is not None:
-            trace.attach(span_monitor)
-    tracker = DeliveryTracker(config, sim=sim)
-    trace.attach(tracker)
     monitor = ReadPathMonitor()
-    trace.attach(monitor)
-    genuineness = None
-    if attach_genuineness:
-        genuineness = GenuinenessMonitor(config)
-        trace.attach(genuineness)
-
-    members: Dict[int, Any] = {}
-    for gid in config.group_ids:
-        for pid in config.members(gid):
-            proc = sim.add_process(
-                pid,
-                lambda rt, p=pid: protocol_cls(p, config, rt, options=protocol_options),
-            )
-            members[pid] = proc
-            if telemetry is not None:
-                proc.attach_obs(telemetry)
-            if attach_fd:
-                from ..failure.detector import attach_monitor
-
-                attach_monitor(proc, fd_options)
-    replicas = attach_kv_replicas(members, config.num_groups, hold_stale=hold_stale)
+    genuineness = GenuinenessMonitor(config) if attach_genuineness else None
+    cluster = SimCluster(
+        protocol_cls,
+        config,
+        network=network,
+        seed=seed,
+        cpu=cpu,
+        protocol_options=protocol_options,
+        batching=batching,
+        obs=obs,
+        monitors=[monitor, genuineness, *monitors],
+        attach_fd=attach_fd,
+        fd_options=fd_options,
+        record_sends=record_sends,
+    )
+    sim, tracker = cluster.sim, cluster.tracker
+    replicas = attach_kv_replicas(
+        cluster.members, config.num_groups, hold_stale=hold_stale
+    )
 
     specs = list(tenants) or [TenantSpec("default")]
     gate = TenantGate(specs) if tenants else None
     chooser = ZipfianKeys(num_keys, skew)
-    sessions: List[ServingLoadSession] = []
-    for i, pid in enumerate(config.clients):
-        spec = specs[i % len(specs)]
-        opts = AmcastClientOptions(
-            window=None,
-            retry_timeout=retry_timeout,
-            retain_completed=None,  # the linearizability checker reads them all
-            weight=spec.weight,
-        )
-        session = sim.add_process(
-            pid,
-            lambda rt, p=pid, sp=spec, o=opts: ServingLoadSession(
-                p, config, rt, protocol_cls, tracker, chooser,
-                num_ops=ops_per_session,
-                read_ratio=read_ratio,
-                rng=random.Random(seed * 10_007 + p),
-                options=o,
-                read_timeout=read_timeout,
-                prefer_local=prefer_local,
-                tenant=sp.name,
-                gate=gate,
-                window=window,
-                spec=sp,
-                telemetry=telemetry,
-            ),
-        )
-        sessions.append(session)
 
+    def build_session(i, pid, rt):
+        spec = specs[i % len(specs)]
+        return ServingLoadSession(
+            pid, config, rt, protocol_cls, tracker, chooser,
+            num_ops=ops_per_session,
+            read_ratio=read_ratio,
+            rng=random.Random(seed * 10_007 + pid),
+            options=AmcastClientOptions(
+                window=None,
+                retry_timeout=retry_timeout,
+                retain_completed=None,  # the linearizability checker reads them all
+                weight=spec.weight,
+            ),
+            read_timeout=read_timeout,
+            prefer_local=prefer_local,
+            tenant=spec.name,
+            gate=gate,
+            window=window,
+            spec=spec,
+            telemetry=cluster.telemetry,
+        )
+
+    sessions: List[ServingLoadSession] = cluster.add_clients(build_session)
+    cluster.arm(fault_plan)
     if fault_plan is not None:
-        fault_plan.validate(config)
-        fault_plan.apply(sim)
         # Excuse crashed members from full-replication write acks (they
         # can never deliver again — and never answer a read either).
-        for spec in fault_plan.crashes:
-            sim.schedule_at(spec.at, lambda p=spec.pid: tracker.note_crashed(p))
-
-    steps = 0
-    while not all(s.done for s in sessions):
-        if not sim.step():
-            break  # drained before completion (lost messages, no retry)
-        steps += 1
-        if steps > max_events:
-            raise SimulationError(f"run exceeded {max_events} events before completing")
-        if max_time is not None and sim.now > max_time:
-            break
-    end_of_load = sim.now
-    if drain_grace > 0:
-        sim.run(until=sim.now + drain_grace)
-    if telemetry is not None:
-        from ..obs import collect_process_stats
-
-        collect_process_stats(telemetry, members)
-
+        for crash in fault_plan.crashes:
+            sim.schedule_at(crash.at, lambda p=crash.pid: tracker.note_crashed(p))
+    cluster.run(
+        done=lambda: all(s.done for s in sessions),
+        drain_grace=drain_grace,
+        max_events=max_events,
+        max_time=max_time,
+    )
     return ServingRunResult(
-        config=config,
-        sim=sim,
-        trace=trace,
-        tracker=tracker,
         sessions=sessions,
-        members=members,
         replicas=replicas,
         monitor=monitor,
         gate=gate,
-        duration=end_of_load,
         genuineness=genuineness,
-        telemetry=telemetry,
+        **cluster.result_fields(),
     )

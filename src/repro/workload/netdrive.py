@@ -5,18 +5,40 @@ time; a live cluster needs the same closed-loop shape — submit through
 :class:`~repro.client.AmcastClient` sessions, refill as completions free
 window slots, stop at a per-session message budget — expressed over
 wall-clock asyncio.  :func:`drive_cluster` is that driver: the
-``bench-net`` sweep and ``repro run --runtime net`` both use it, so the
-measured ingress path and the demoed one cannot drift apart.
+``bench-net`` sweep and the non-reconfiguration branch of ``repro run
+--runtime net`` both use it, so the measured ingress path and the demoed
+one cannot drift apart.  (``--join-at``/``--leave-at`` runs interleave
+operator commands at wall-clock offsets and keep their own submit loop.)
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..types import MessageId
+
+@functools.lru_cache(maxsize=None)
+def install_loop(loop: str) -> str:
+    """Install the requested event-loop policy; returns the honest label.
+
+    uvloop is optional and must not be a hard dependency: when requested
+    but absent, the default loop runs and the recorded label says so —
+    results files never claim a loop that didn't run.
+    """
+    if loop == "uvloop":
+        try:
+            import uvloop
+        except ImportError:
+            print("note: uvloop requested but not installed; using the "
+                  "default event loop", file=sys.stderr)
+            return "default (uvloop unavailable)"
+        asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
+        return "uvloop"
+    return "default"
 
 
 @dataclass
@@ -66,7 +88,7 @@ async def drive_cluster(
     session_indices = list(sessions) if sessions is not None else list(
         range(len(cluster.sessions))
     )
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     done = asyncio.Event()
     remaining = len(session_indices) * messages_per_session
     completions: List[float] = []

@@ -58,6 +58,16 @@ class TestCli:
         assert code == 0
         assert "linger=adaptive[0.0005s, 0.002s]" in out
 
+    def test_run_elastic_reports_telemetry(self, capsys):
+        """--obs used to be silently dropped on the reconfiguration branch."""
+        code = main(["run", "--protocol", "wbcast", "--groups", "2",
+                     "--clients", "2", "--messages", "6", "--join-at", "0.01",
+                     "--obs"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "epochs    : 0 -> 1" in out
+        assert "obs       :" in out and "spans     :" in out
+
     def test_bench_batching_quick(self, capsys):
         """The CI smoke path: one protocol, tiny grid, table + headline."""
         code = main(["bench-batching", "--protocol", "ftskeen", "--quick"])

@@ -11,7 +11,6 @@ Three batteries:
   pass the checker.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -429,10 +428,11 @@ class TestAppServingPaths:
 class TestBenchServing:
     def _tiny_sweep(self, **overrides):
         from repro.bench import serving as bench_serving
+        from repro.bench.driver import default_params
 
-        sweep = bench_serving.quick_sweep()
-        return dataclasses.replace(
-            sweep,
+        return default_params(
+            bench_serving.BENCH,
+            quick=True,
             ops_per_session=12,
             sessions=2,
             tenant_counts=(1,),
@@ -445,16 +445,18 @@ class TestBenchServing:
     def test_quick_sim_point_meets_acceptance(self):
         from repro.bench import serving as bench_serving
 
+        from repro.bench.driver import json_payload, run_grid
+
         sweep = self._tiny_sweep()
-        points = bench_serving.run_serving(sweep)
+        points = run_grid(bench_serving.BENCH, sweep)
         assert points
         for p in points:
             assert p.checks_ok and p.linearizable
             assert p.read_ordering == 0
-        crash = bench_serving.run_crash_point(sweep)
+        crash = bench_serving.serving_crash_run(sweep)
         assert crash["checks_ok"] and crash["linearizable"]
-        assert not bench_serving.acceptance_failures(points, crash)
-        payload = bench_serving.json_payload(sweep, points, crash)
+        assert not bench_serving.acceptance_failures(sweep, points, crash)
+        payload = json_payload(bench_serving.BENCH, sweep, points, crash)
         assert payload["points"] and payload["crash_run"]["linearizable"]
         assert payload["headline"]["linearizable"]
 

@@ -1,40 +1,30 @@
-"""Traffic census and CSV export."""
+"""Per-message-type wire traffic of a run, normalised per multicast."""
+
+from collections import Counter
 
 import pytest
 
-from repro.bench.export import read_csv, sweep_to_csv, write_csv
 from repro.bench.harness import run_workload
-from repro.bench.stats import census, census_table
-from repro.bench.sweep import SweepPoint
 from repro.protocols import FtSkeenProcess, WbCastProcess
 from repro.sim import ConstantDelay
 
 from tests.conftest import DELTA
 
 
-class TestCensus:
-    @pytest.fixture
-    def run(self):
-        return run_workload(WbCastProcess, num_groups=2, group_size=3, num_clients=2,
-                            messages_per_client=5, dest_k=2, seed=0,
-                            network=ConstantDelay(DELTA))
+def per_multicast(run, message_type: str) -> float:
+    by_type = Counter(type(rec.msg).__name__ for rec in run.trace.sends)
+    assert sum(by_type.values()) == run.trace.send_count
+    return by_type[message_type] / run.completed
 
-    def test_counts_by_type(self, run):
-        c = census(run.trace, run.config, run.completed)
-        assert c.total == run.trace.send_count
-        assert c.by_type["AcceptMsg"] > 0
-        assert c.by_type["DeliverMsg"] > 0
+
+class TestTrafficByType:
+    def test_accept_fanout(self):
+        run = run_workload(WbCastProcess, num_groups=2, group_size=3, num_clients=2,
+                           messages_per_client=5, dest_k=2, seed=0,
+                           network=ConstantDelay(DELTA))
+        assert per_multicast(run, "DeliverMsg") > 0
         # Every multicast to 2 groups of 3 fans 12 ACCEPTs out.
-        assert c.per_multicast("AcceptMsg") == pytest.approx(12.0)
-
-    def test_roles_partition_total(self, run):
-        c = census(run.trace, run.config, run.completed)
-        assert sum(c.by_receiver_role.values()) == c.total
-
-    def test_table_renders(self, run):
-        c = census(run.trace, run.config, run.completed)
-        text = census_table("wbcast 2x3", c)
-        assert "AcceptMsg" in text and "TOTAL" in text
+        assert per_multicast(run, "AcceptMsg") == pytest.approx(12.0)
 
     def test_ack_traffic_scaling_wbcast_vs_ftskeen(self):
         """WbCast's acks scale Θ(k²n) (every destination process acks every
@@ -45,8 +35,7 @@ class TestCensus:
             res = run_workload(cls, num_groups=4, group_size=3, num_clients=2,
                                messages_per_client=5, dest_k=k, seed=1,
                                network=ConstantDelay(DELTA))
-            c = census(res.trace, res.config, res.completed)
-            return c.per_multicast(ack_type)
+            return per_multicast(res, ack_type)
 
         wb2 = acks_per_multicast(WbCastProcess, "AcceptAckMsg", 2)
         ft2 = acks_per_multicast(FtSkeenProcess, "PaxosAccepted", 2)
@@ -54,27 +43,3 @@ class TestCensus:
         ft4 = acks_per_multicast(FtSkeenProcess, "PaxosAccepted", 4)
         assert wb2 == pytest.approx(ft2)           # coincide at k=2, n=3
         assert wb4 == pytest.approx(2 * ft4)       # diverge at k=4
-
-
-class TestCsvExport:
-    POINTS = [
-        SweepPoint("WbCastProcess", 2, 100, 0.001, 0.002, 50_000.0, 1000),
-        SweepPoint("FastCastProcess", 2, 100, 0.0015, 0.003, 40_000.0, 1000),
-    ]
-
-    def test_round_trip(self, tmp_path):
-        path = write_csv(self.POINTS, tmp_path / "sweep.csv")
-        rows = read_csv(path)
-        assert len(rows) == 2
-        assert rows[0]["protocol"] == "WbCast"
-        assert rows[0]["clients"] == 100
-        assert rows[0]["mean_latency_s"] == pytest.approx(0.001)
-        assert rows[1]["throughput_msgs_s"] == pytest.approx(40_000.0)
-
-    def test_header(self):
-        text = sweep_to_csv(self.POINTS)
-        assert text.splitlines()[0].startswith("protocol,dest_k,clients")
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = write_csv(self.POINTS, tmp_path / "deep" / "nested" / "x.csv")
-        assert path.exists()
